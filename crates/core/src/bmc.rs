@@ -69,18 +69,28 @@ impl<'p> Bmc<'p> {
     }
 
     /// Caps grounding size per query (see
-    /// [`ivy_epr::EprCheck::set_instance_limit`]); cumulative per check call
-    /// in incremental mode.
+    /// [`ivy_epr::EprCheck::set_instance_limit`]). In incremental mode the
+    /// budget is cumulative per pooled session: it covers the unrolling's
+    /// base, every step grounded so far, and the violations of every scan
+    /// the session served (an exhausted recycled session is rebuilt
+    /// transparently). A cold scan grounds steps only as it deepens, so a
+    /// shallow violation is found within a budget too small for all `k`
+    /// steps.
     pub fn set_instance_limit(&mut self, limit: u64) {
         Arc::make_mut(&mut self.oracle).set_instance_limit(limit);
     }
 
     /// Toggles incremental solving (on by default). Incremental checks hold
-    /// one oracle session per call: the base frame is grounded once, each
-    /// transition step joins it permanently as the scan deepens, and every
-    /// per-depth violation runs as a retirable assumption group — so learnt
-    /// clauses carry across the whole depth-by-depth scan. `false` re-solves
-    /// every depth from scratch (the reference behavior,
+    /// one oracle session per call over one frame, the unrolling's base
+    /// plus all `k` transition steps ([`Oracle::open_prefix`]). Depth `j`
+    /// queries the frame prefix `base ∧ steps[0..j]`: on a cold session
+    /// each step is grounded when the scan first reaches it, on a pooled
+    /// one every step is already grounded and the deeper steps are merely
+    /// masked. Every per-depth violation runs as a retirable assumption
+    /// group, so learnt clauses carry across the whole depth-by-depth
+    /// scan, and a scan that reached depth `k` leaves the grounded
+    /// unrolling in the oracle's pool for the next call at the same depth.
+    /// `false` re-solves every depth from scratch (the reference behavior,
     /// [`QueryStrategy::Fresh`]).
     pub fn set_incremental(&mut self, on: bool) {
         Arc::make_mut(&mut self.oracle).set_strategy(if on {
@@ -102,7 +112,7 @@ impl<'p> Bmc<'p> {
         let mut scan = self.open_scan(&u)?;
         for j in 0..=k {
             let bad = not_renamed(phi, &u.maps[j]);
-            if let Some(model) = scan.solve_at(&u, j, ("violation", bad))? {
+            if let Some(model) = scan.solve_at(j, ("violation", bad))? {
                 return Ok(Some(self.extract_trace(&u, j, &model, format!("~({phi})"))));
             }
         }
@@ -122,7 +132,7 @@ impl<'p> Bmc<'p> {
         // Aborts during init (no steps involved; depth 0).
         let false_id = intern::false_id();
         if u.init_error != false_id {
-            if let Some(model) = scan.solve_at(&u, 0, ("abort", u.init_error))? {
+            if let Some(model) = scan.solve_at(0, ("abort", u.init_error))? {
                 let mut trace = self.extract_trace(&u, 0, &model, String::new());
                 trace.violated = "abort during init".into();
                 return Ok(Some(trace));
@@ -132,7 +142,7 @@ impl<'p> Bmc<'p> {
             // Safety properties at state j.
             for (label, phi) in &self.program.safety {
                 let bad = not_renamed(phi, &u.maps[j]);
-                if let Some(model) = scan.solve_at(&u, j, ("violation", bad))? {
+                if let Some(model) = scan.solve_at(j, ("violation", bad))? {
                     return Ok(Some(self.extract_trace(&u, j, &model, label.clone())));
                 }
             }
@@ -142,7 +152,7 @@ impl<'p> Bmc<'p> {
                     if *err == false_id {
                         continue;
                     }
-                    if let Some(model) = scan.solve_at(&u, j, ("abort", *err))? {
+                    if let Some(model) = scan.solve_at(j, ("abort", *err))? {
                         return Ok(Some(self.extract_trace(
                             &u,
                             j,
@@ -155,7 +165,7 @@ impl<'p> Bmc<'p> {
             // Aborts in the finalization command from state j.
             if u.final_errors[j] != false_id {
                 let err = u.final_errors[j];
-                if let Some(model) = scan.solve_at(&u, j, ("abort", err))? {
+                if let Some(model) = scan.solve_at(j, ("abort", err))? {
                     return Ok(Some(self.extract_trace(
                         &u,
                         j,
@@ -168,16 +178,18 @@ impl<'p> Bmc<'p> {
         Ok(None)
     }
 
-    /// Opens the depth-scan handle: the frame is the unrolling base;
-    /// transition steps join as permanent groups as the scan deepens (see
+    /// Opens the depth-scan handle over one frame: the unrolling base plus
+    /// all `k` transition steps, with only the base active (see
     /// [`ReachScan::solve_at`]). Under [`QueryStrategy::Fresh`] the handle
     /// re-grounds per query — the reference behavior.
     fn open_scan(&self, u: &Unrolling) -> Result<ReachScan<'_>, EprError> {
         let mut frame = Frame::new(&u.sig);
         frame.push("base", u.base);
+        for (i, step) in u.steps.iter().enumerate() {
+            frame.push(format!("step{i}"), *step);
+        }
         Ok(ReachScan {
-            handle: self.oracle.open(&frame)?,
-            steps_added: 0,
+            handle: self.oracle.open_prefix(&frame, 1)?,
         })
     }
 
@@ -205,30 +217,21 @@ impl<'p> Bmc<'p> {
     }
 }
 
-/// The depth-scan state: one oracle handle plus how many transition steps
-/// have been permanently asserted so far.
+/// The depth-scan state: one oracle handle over `base ∧ steps[0..k]`.
 struct ReachScan<'o> {
     handle: FrameSession<'o>,
-    steps_added: usize,
 }
 
 impl ReachScan<'_> {
-    /// Solves `base ∧ steps[0..j] ∧ extra`, extending the handle with any
-    /// not-yet-asserted steps — they are permanent: deeper queries only ever
-    /// add steps. Returns the model on SAT.
+    /// Solves `base ∧ steps[0..j] ∧ extra` by moving the handle's frame
+    /// prefix to `j + 1`: a cold session grounds the next step, a pooled
+    /// one only masks the deeper steps. Returns the model on SAT.
     fn solve_at(
         &mut self,
-        u: &Unrolling,
         j: usize,
         extra: (&str, FormulaId),
     ) -> Result<Option<Structure>, EprError> {
-        while self.steps_added < j {
-            self.handle.assert(
-                format!("step{}", self.steps_added),
-                u.steps[self.steps_added],
-            )?;
-            self.steps_added += 1;
-        }
+        self.handle.set_frame_prefix(j + 1)?;
         let outcome = self.handle.solve_goal(&Goal::new(extra.0, extra.1))?;
         Ok(sat_model(outcome)?.map(|m| m.structure))
     }
@@ -374,6 +377,98 @@ action mark { havoc n; marked.insert(n) }
         assert!(check_program(&p).is_empty());
         let bmc = Bmc::new(&p);
         assert!(bmc.check_safety(4).unwrap().is_none());
+    }
+
+    /// "At most two marked nodes": violated after two `mark_one` steps.
+    const AT_MOST_TWO: &str = "forall X:node, Y:node, Z:node. \
+         marked(X) & marked(Y) & marked(Z) -> X = Y | X = Z | Y = Z";
+
+    #[test]
+    fn cold_scan_grounds_only_the_steps_it_reaches() {
+        let p = spread();
+        let phi = parse_formula(AT_MOST_TWO).unwrap();
+        // Calibrate: the whole cold scan to the depth-2 violation, with
+        // steps beyond it never grounded.
+        let probe = Bmc::new(&p);
+        let trace = probe.check_k_invariance(&phi, 8).unwrap().unwrap();
+        assert_eq!(trace.steps(), 2);
+        let limit = probe.oracle().rollup().report.instances;
+        // That budget admits base plus two steps but not base plus eight:
+        // a scan that must reach depth 8 overflows it.
+        let mut bmc = Bmc::new(&p);
+        bmc.set_instance_limit(limit);
+        let invariant = parse_formula("marked(seed)").unwrap();
+        assert!(matches!(
+            bmc.check_k_invariance(&invariant, 8),
+            Err(EprError::TooManyInstances { .. })
+        ));
+        // The lazy scan still stops at depth 2 within it, cold and fresh.
+        for incremental in [true, false] {
+            let mut bmc = Bmc::new(&p);
+            bmc.set_incremental(incremental);
+            bmc.set_instance_limit(limit);
+            let trace = bmc.check_k_invariance(&phi, 8).unwrap().unwrap();
+            assert_eq!(trace.steps(), 2, "incremental: {incremental}");
+        }
+    }
+
+    #[test]
+    fn warm_scan_masks_steps_beyond_the_queried_depth() {
+        // The only action deadlocks once a second node is marked, so the
+        // depth-1 violation has no successor state: a query at depth 1
+        // that left step 2 enabled would miss it and report depth 2.
+        let src = r#"
+sort node
+relation marked : node
+variable n : node
+variable seed : node
+safety at_most_one: forall X:node, Y:node. marked(X) & marked(Y) -> X = Y
+init { marked(X0) := X0 = seed }
+action mark_one {
+  assume forall X:node. marked(X) -> X = seed;
+  havoc n;
+  marked.insert(n)
+}
+"#;
+        let p = parse_program(src).unwrap();
+        assert!(check_program(&p).is_empty());
+        let bmc = Bmc::new(&p);
+        // Pool the full three-step frame through a scan that never stops
+        // early.
+        let seed_marked = parse_formula("marked(seed)").unwrap();
+        assert!(bmc.check_k_invariance(&seed_marked, 3).unwrap().is_none());
+        let before = bmc.oracle().rollup();
+        let trace = bmc.check_safety(3).unwrap().unwrap();
+        let after = bmc.oracle().rollup();
+        assert_eq!(after.frame_hits, before.frame_hits + 1, "warm scan");
+        assert_eq!(after.sessions_built, before.sessions_built);
+        assert_eq!(trace.violated, "at_most_one");
+        assert_eq!(trace.steps(), 1);
+        let mut fresh = Bmc::new(&p);
+        fresh.set_incremental(false);
+        assert_eq!(fresh.check_safety(3).unwrap().unwrap().steps(), 1);
+    }
+
+    #[test]
+    fn early_exit_does_not_pool_a_partial_frame() {
+        let p = spread();
+        let bmc = Bmc::new(&p);
+        let phi = parse_formula("forall X:node, Y:node. marked(X) & marked(Y) -> X = Y").unwrap();
+        // The violation sits at depth 1 < k, so steps 2 and 3 are never
+        // grounded and the session must not enter the pool.
+        for round in 1..=2 {
+            let trace = bmc.check_k_invariance(&phi, 3).unwrap().unwrap();
+            assert_eq!(trace.steps(), 1);
+            let rollup = bmc.oracle().rollup();
+            assert_eq!(rollup.frame_hits, 0, "round {round}");
+            assert_eq!(rollup.frame_misses, round);
+            assert_eq!(rollup.sessions_built, round);
+        }
+        // A scan that reaches depth k pools its session for the next one.
+        let invariant = parse_formula("marked(seed)").unwrap();
+        assert!(bmc.check_k_invariance(&invariant, 3).unwrap().is_none());
+        assert!(bmc.check_k_invariance(&phi, 3).unwrap().is_some());
+        assert_eq!(bmc.oracle().rollup().frame_hits, 1);
     }
 
     #[test]

@@ -35,6 +35,15 @@
 //! [`MAX_POOLED_SESSIONS`] sessions by default (oldest evicted first;
 //! see [`Oracle::set_pool_capacity`]).
 //!
+//! Each frame assert is its own session group, so a handle can query a
+//! *prefix* of the frame ([`Oracle::open_prefix`],
+//! [`FrameSession::set_frame_prefix`]) — BMC's deepening scan over `base`
+//! plus `k` transition steps. A cold session grounds frame asserts only up
+//! to the active prefix; a pooled session always holds the whole frame
+//! grounded and masks the suffix by not assuming its groups. A handle is
+//! checked in only once every frame assert is grounded, with every frame
+//! group re-enabled, so the pool never holds a partial frame.
+//!
 //! # Sharing across threads and tenants
 //!
 //! An `Oracle` is `Sync`: `solve`/`first_sat`/`open` take `&self`, and the
@@ -190,10 +199,19 @@ pub const MAX_POOLED_SESSIONS: usize = 8;
 /// they are one or two groups per query by construction.
 pub const MAX_POOLED_HANDLE_GROUPS: usize = 8;
 
+/// One pooled session: grounded for every assert of the frame keyed by
+/// `key`, with every frame group enabled.
+struct Pooled {
+    key: u64,
+    session: EprSession,
+    /// `frame_groups[i]` is the session group of frame assert `i`.
+    frame_groups: Vec<GroupId>,
+}
+
 /// The shared half of an oracle: the session pool and the telemetry
 /// rollup, common to every view cloned from the same root oracle.
 struct OracleShared {
-    pool: Mutex<Vec<(u64, EprSession)>>,
+    pool: Mutex<Vec<Pooled>>,
     pool_capacity: Mutex<usize>,
     rollup: Mutex<OracleRollup>,
 }
@@ -514,30 +532,47 @@ impl Oracle {
 
     /// Opens a handle for a *stateful* query family over one frame: the
     /// caller asserts, toggles, and retires its own groups on top of the
-    /// frame (Houdini's hypothesis juggling, BMC's deepening step scan,
-    /// minimization's constraint descent). Under [`QueryStrategy::Fresh`]
-    /// the handle records groups and re-grounds per query; otherwise it
-    /// holds a live session (pooled on drop).
+    /// frame (Houdini's hypothesis juggling, minimization's constraint
+    /// descent). Under [`QueryStrategy::Fresh`] the handle records groups
+    /// and re-grounds per query; otherwise it holds a live session (pooled
+    /// on drop).
     ///
     /// # Errors
     ///
     /// Propagates [`EprError`] from grounding the frame.
     pub fn open(&self, frame: &Frame) -> Result<FrameSession<'_>, EprError> {
+        self.open_prefix(frame, frame.asserts().len())
+    }
+
+    /// Like [`Oracle::open`], but only the first `n` frame asserts
+    /// constrain queries until [`FrameSession::set_frame_prefix`] moves the
+    /// prefix (BMC's deepening step scan: `base` plus `k` steps, queried at
+    /// prefix `j + 1` for depth `j`). A cold session grounds frame asserts
+    /// only up to the active prefix, so a scan that stops early never pays
+    /// for the deeper steps; a pooled session holds every frame assert
+    /// grounded, and the asserts past the prefix are merely disabled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`] from grounding the prefix.
+    pub fn open_prefix(&self, frame: &Frame, n: usize) -> Result<FrameSession<'_>, EprError> {
+        let n = n.min(frame.asserts().len());
         let key = frame.fingerprint_with_mode(self.mode);
         let live = match self.strategy {
             QueryStrategy::Fresh => None,
             _ => {
-                let (session, reused) = self.checkout(frame, key).map_err(|e| self.soften(e))?;
-                Some(LiveState {
-                    session,
-                    map: Vec::new(),
-                    reused,
-                })
+                let mut live = self.checkout(frame, key, n).map_err(|e| self.soften(e))?;
+                // A pooled session holds the whole frame: mask the suffix.
+                for gid in &live.frame_groups[n..] {
+                    live.session.set_enabled(*gid, false);
+                }
+                Some(live)
             }
         };
         Ok(FrameSession {
             oracle: self,
             frame: frame.clone(),
+            prefix: n,
             key,
             round_limit: self.lazy_round_limit,
             groups: Vec::new(),
@@ -559,15 +594,18 @@ impl Oracle {
 
     /// One fresh `EprCheck` for `frame ∧ goal` with the oracle's limits.
     fn fresh_goal(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
-        self.fresh_outcome(frame, &[], goal, self.lazy_round_limit)
+        let all = frame.asserts().len();
+        self.fresh_outcome(frame, all, &[], goal, self.lazy_round_limit)
     }
 
-    /// One fresh `EprCheck` over the frame, a handle's live groups, and a
-    /// goal — the re-grounding reference path shared by
-    /// [`QueryStrategy::Fresh`] queries and fresh [`FrameSession`] handles.
+    /// One fresh `EprCheck` over the first `prefix` frame asserts, a
+    /// handle's live groups, and a goal — the re-grounding reference path
+    /// shared by [`QueryStrategy::Fresh`] queries and fresh
+    /// [`FrameSession`] handles.
     fn fresh_outcome(
         &self,
         frame: &Frame,
+        prefix: usize,
         groups: &[GroupRec],
         goal: &Goal,
         round_limit: Option<usize>,
@@ -577,7 +615,7 @@ impl Oracle {
         q.set_budget(self.budget);
         q.set_lazy_round_limit(round_limit);
         q.set_solver_config(self.effective_solver_config());
-        for (label, id) in frame.asserts() {
+        for (label, id) in &frame.asserts()[..prefix] {
             q.assert_id(label.clone(), *id)?;
         }
         for rec in groups {
@@ -596,65 +634,75 @@ impl Oracle {
         Ok(outcome)
     }
 
-    /// Takes a session for `frame` from the pool, or grounds one. The
-    /// boolean is true when the session was recycled (its cumulative
-    /// instantiation budget may be partly spent).
-    fn checkout(&self, frame: &Frame, key: u64) -> Result<(EprSession, bool), EprError> {
+    /// Takes a session for `frame` from the pool (every frame assert
+    /// grounded), or grounds one for the first `prefix` frame asserts.
+    fn checkout(&self, frame: &Frame, key: u64, prefix: usize) -> Result<LiveState, EprError> {
         let cached = {
             let mut pool = self.shared.pool.lock().unwrap();
             pool.iter()
-                .rposition(|(k, _)| *k == key)
-                .map(|i| pool.remove(i).1)
+                .rposition(|p| p.key == key)
+                .map(|i| pool.remove(i))
         };
         match cached {
-            Some(mut s) => {
+            Some(Pooled {
+                mut session,
+                frame_groups,
+                ..
+            }) => {
                 // Budgets and limits are configuration, not frame content:
                 // re-apply them, the pooled values may be stale.
-                s.set_budget(self.budget);
-                s.set_instance_limit(self.instance_limit);
-                s.set_lazy_round_limit(self.lazy_round_limit);
-                s.set_solver_config(self.effective_solver_config());
+                session.set_budget(self.budget);
+                session.set_instance_limit(self.instance_limit);
+                session.set_lazy_round_limit(self.lazy_round_limit);
+                session.set_solver_config(self.effective_solver_config());
                 self.note_checkout(true);
-                Ok((s, true))
+                Ok(LiveState::new(session, frame_groups, true))
             }
             None => {
                 self.note_checkout(false);
-                Ok((
-                    self.build_session(frame, key, self.lazy_round_limit)?,
-                    false,
-                ))
+                let (session, frame_groups) =
+                    self.build_session(frame, key, prefix, self.lazy_round_limit)?;
+                Ok(LiveState::new(session, frame_groups, false))
             }
         }
     }
 
-    /// Grounds a fresh session for `frame`.
+    /// Grounds a fresh session for the first `prefix` asserts of `frame`,
+    /// returning it with the session group of each grounded assert.
     fn build_session(
         &self,
         frame: &Frame,
         key: u64,
+        prefix: usize,
         round_limit: Option<usize>,
-    ) -> Result<EprSession, EprError> {
+    ) -> Result<(EprSession, Vec<GroupId>), EprError> {
         let mut s = EprSession::with_mode(frame.sig(), self.mode)?;
         s.set_frame_key(key);
         s.set_instance_limit(self.instance_limit);
         s.set_budget(self.budget);
         s.set_lazy_round_limit(round_limit);
         s.set_solver_config(self.effective_solver_config());
-        for (label, id) in frame.asserts() {
-            s.assert_id(label.clone(), *id)?;
+        let mut frame_groups = Vec::with_capacity(frame.asserts().len());
+        for (label, id) in &frame.asserts()[..prefix] {
+            frame_groups.push(s.assert_id(label.clone(), *id)?);
         }
         self.shared.rollup.lock().unwrap().record_session_built();
         ivy_telemetry::local_record_session_built();
         counter_add("oracle.sessions_built", 1);
-        Ok(s)
+        Ok((s, frame_groups))
     }
 
-    /// Returns a frame-only session to the pool.
-    fn checkin(&self, key: u64, session: EprSession) {
+    /// Returns a session to the pool; every frame assert must be grounded
+    /// and enabled, and every handle group retired.
+    fn checkin(&self, key: u64, session: EprSession, frame_groups: Vec<GroupId>) {
         debug_assert_eq!(session.frame_key(), Some(key));
         let capacity = *self.shared.pool_capacity.lock().unwrap();
         let mut pool = self.shared.pool.lock().unwrap();
-        pool.push((key, session));
+        pool.push(Pooled {
+            key,
+            session,
+            frame_groups,
+        });
         while pool.len() > capacity {
             pool.remove(0);
         }
@@ -689,9 +737,12 @@ struct GroupRec {
 }
 
 /// The live half of a [`FrameSession`]: the checked-out session plus the
-/// per-handle group mapping.
+/// frame and per-handle group mappings.
 struct LiveState {
     session: EprSession,
+    /// `frame_groups[i]` is the session group of frame assert `i`; only
+    /// the asserts grounded so far have one (a pooled session has all).
+    frame_groups: Vec<GroupId>,
     /// `map[i]` is the session group of handle group `i` (`None` once
     /// retired).
     map: Vec<Option<GroupId>>,
@@ -701,16 +752,31 @@ struct LiveState {
     reused: bool,
 }
 
+impl LiveState {
+    fn new(session: EprSession, frame_groups: Vec<GroupId>, reused: bool) -> LiveState {
+        LiveState {
+            session,
+            frame_groups,
+            map: Vec::new(),
+            reused,
+        }
+    }
+}
+
 /// Handle to one group asserted via [`FrameSession::assert`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameGroup(usize);
 
 /// A checked-out query handle over one [`Frame`] (see [`Oracle::open`]).
 /// Dropping the handle retires its groups and returns the session (if any)
-/// to the oracle's pool.
+/// to the oracle's pool — only once every frame assert is grounded, with
+/// every frame group re-enabled, so the pool never holds a partial frame.
 pub struct FrameSession<'o> {
     oracle: &'o Oracle,
     frame: Frame,
+    /// How many leading frame asserts constrain queries (see
+    /// [`Oracle::open_prefix`]).
+    prefix: usize,
     key: u64,
     round_limit: Option<usize>,
     groups: Vec<GroupRec>,
@@ -785,6 +851,37 @@ impl FrameSession<'_> {
         }
     }
 
+    /// Makes the first `n` frame asserts (clamped to the frame's length)
+    /// constrain subsequent queries and masks the rest. Asserts not yet
+    /// grounded on this handle's session are grounded now, in frame
+    /// order; already-grounded ones only have their assumption literals
+    /// toggled, so moving the prefix over a pooled session costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`] from grounding; the prefix is then
+    /// unchanged.
+    pub fn set_frame_prefix(&mut self, n: usize) -> Result<(), EprError> {
+        let n = n.min(self.frame.asserts().len());
+        if let Some(live) = &mut self.live {
+            while live.frame_groups.len() < n {
+                let (label, id) = &self.frame.asserts()[live.frame_groups.len()];
+                let gid = live
+                    .session
+                    .assert_id(label.clone(), *id)
+                    .map_err(|e| self.oracle.soften(e))?;
+                // Masked until the whole new prefix is grounded.
+                live.session.set_enabled(gid, false);
+                live.frame_groups.push(gid);
+            }
+            for (i, gid) in live.frame_groups.iter().enumerate() {
+                live.session.set_enabled(*gid, i < n);
+            }
+        }
+        self.prefix = n;
+        Ok(())
+    }
+
     /// Solves the frame plus the enabled groups.
     ///
     /// # Errors
@@ -804,8 +901,13 @@ impl FrameSession<'_> {
     /// Propagates [`EprError`].
     pub fn solve_goal(&mut self, goal: &Goal) -> Result<EprOutcome, EprError> {
         let result = if self.live.is_none() {
-            self.oracle
-                .fresh_outcome(&self.frame, &self.groups, goal, self.round_limit)
+            self.oracle.fresh_outcome(
+                &self.frame,
+                self.prefix,
+                &self.groups,
+                goal,
+                self.round_limit,
+            )
         } else {
             let reused = self.live.as_ref().is_some_and(|l| l.reused);
             match self.try_goal_live(goal) {
@@ -849,12 +951,13 @@ impl FrameSession<'_> {
     }
 
     /// Replaces an instantiation-exhausted recycled session with a fresh
-    /// grounding of the frame plus this handle's live groups. The candidate
-    /// is built before swapping, so a failure leaves the handle usable.
+    /// grounding of the frame's active prefix plus this handle's live
+    /// groups. The candidate is built before swapping, so a failure leaves
+    /// the handle usable.
     fn rebuild_live(&mut self) -> Result<(), EprError> {
-        let mut session = self
-            .oracle
-            .build_session(&self.frame, self.key, self.round_limit)?;
+        let (mut session, frame_groups) =
+            self.oracle
+                .build_session(&self.frame, self.key, self.prefix, self.round_limit)?;
         let mut map = Vec::with_capacity(self.groups.len());
         for rec in &self.groups {
             if rec.retired {
@@ -870,6 +973,7 @@ impl FrameSession<'_> {
         // The old session is dropped, not pooled: its budget is spent.
         self.live = Some(LiveState {
             session,
+            frame_groups,
             map,
             reused: false,
         });
@@ -907,13 +1011,23 @@ impl Drop for FrameSession<'_> {
             if self.groups.len() > MAX_POOLED_HANDLE_GROUPS {
                 return;
             }
+            // The pool only holds whole frames: a scan that stopped short
+            // of the last frame assert drops its partial session.
+            if live.frame_groups.len() < self.frame.asserts().len() {
+                return;
+            }
             // Restore frame-only state before pooling: retire every handle
-            // group and lift any handle-local round limit.
+            // group, re-enable every frame group, and lift any
+            // handle-local round limit.
             for gid in live.map.iter().filter_map(|g| *g) {
                 live.session.retire(gid);
             }
+            for gid in &live.frame_groups {
+                live.session.set_enabled(*gid, true);
+            }
             live.session.set_lazy_round_limit(None);
-            self.oracle.checkin(self.key, live.session);
+            self.oracle
+                .checkin(self.key, live.session, live.frame_groups);
         }
     }
 }
@@ -1051,6 +1165,39 @@ mod tests {
             h.retire(all);
             assert!(h.check().unwrap().is_sat(), "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn frame_prefix_masks_and_pools_only_whole_frames() {
+        let sig = sig();
+        let mut frame = Frame::new(&sig);
+        frame.push("all", fid("forall X:s. r(X)"));
+        frame.push("none", fid("forall X:s. ~r(X)"));
+        for strategy in [QueryStrategy::Fresh, QueryStrategy::Session] {
+            let mut oracle = Oracle::new();
+            oracle.set_strategy(strategy);
+            let mut h = oracle.open_prefix(&frame, 1).unwrap();
+            assert!(h.check().unwrap().is_sat(), "{strategy:?}");
+            h.set_frame_prefix(2).unwrap();
+            assert!(!h.check().unwrap().is_sat(), "{strategy:?}");
+            h.set_frame_prefix(1).unwrap();
+            assert!(h.check().unwrap().is_sat(), "{strategy:?}");
+        }
+        let oracle = Oracle::new();
+        // A handle that never grounded `none` is not pooled...
+        let h = oracle.open_prefix(&frame, 1).unwrap();
+        drop(h);
+        let h = oracle.open_prefix(&frame, 2).unwrap();
+        assert_eq!(oracle.rollup().sessions_built, 2);
+        drop(h);
+        // ...a whole frame is, and a warm prefix handle masks the suffix.
+        let mut h = oracle.open_prefix(&frame, 1).unwrap();
+        assert_eq!(oracle.rollup().frame_hits, 1);
+        assert!(h.check().unwrap().is_sat());
+        drop(h);
+        // Dropping re-enabled the masked assert for the next tenant.
+        assert!(!oracle.open(&frame).unwrap().check().unwrap().is_sat());
+        assert_eq!(oracle.rollup().sessions_built, 2);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Differential test for the incremental query machinery over the six
 //! bundled evaluation protocols (Section 5.1): the `Fresh`, `Session`, and
 //! `Parallel` strategies of the inductiveness checker must agree on every
-//! verdict and name the same violation, and incremental BMC must agree with
-//! fresh per-depth BMC. This is the end-to-end guarantee that solver-state
-//! reuse (shared frames, assumption groups, learnt clauses, repaired
-//! equality axioms) never changes an answer.
+//! verdict and name the same violation, and incremental BMC — cold, and
+//! warm over a pooled unrolling — must agree with fresh per-depth BMC. This
+//! is the end-to-end guarantee that solver-state reuse (shared frames,
+//! assumption groups, learnt clauses, repaired equality axioms) never
+//! changes an answer.
 
-use ivy_core::{Bmc, Conjecture, Inductiveness, QueryStrategy, Verifier, Violation};
+use ivy_core::{Bmc, Conjecture, Inductiveness, QueryStrategy, Trace, Verifier, Violation};
+use ivy_fol::parse_formula;
 use ivy_protocols as p;
 use ivy_rml::Program;
 
@@ -119,6 +121,51 @@ fn incremental_bmc_agrees_with_fresh() {
                 f.as_ref().map(|t| t.steps()),
                 i.as_ref().map(|t| t.steps()),
                 "{name}: k-invariance of `{label}` differs"
+            );
+        }
+    }
+}
+
+/// The parts of a BMC answer every strategy must agree on: the trace
+/// depth and the violated label (`None` when safe).
+fn bmc_answer(trace: Option<Trace>) -> Option<(usize, String)> {
+    trace.map(|t| (t.steps(), t.violated))
+}
+
+#[test]
+fn warm_bmc_agrees_with_fresh_and_cold() {
+    let mut programs: Vec<(&str, Program)> =
+        protocols().into_iter().map(|(n, p, _)| (n, p)).collect();
+    programs.push((
+        "leader_without_unique_ids",
+        p::leader::program_without_unique_ids(),
+    ));
+    let k = 2;
+    let always = parse_formula("true").unwrap();
+    for (name, program) in &programs {
+        let mut fresh = Bmc::new(program);
+        fresh.set_incremental(false);
+        let session = Bmc::new(program);
+        let reference = bmc_answer(fresh.check_safety(k).unwrap());
+        let cold = bmc_answer(session.check_safety(k).unwrap());
+        assert_eq!(reference, cold, "{name}: cold session disagrees with Fresh");
+        // A scan that stops early is not pooled; a k-invariance scan of
+        // `true` reaches depth k and pools the whole unrolling, so the
+        // next scan over the same frame runs warm.
+        assert!(session.check_k_invariance(&always, k).unwrap().is_none());
+        let before = session.oracle().rollup();
+        let warm = bmc_answer(session.check_safety(k).unwrap());
+        let after = session.oracle().rollup();
+        assert_eq!(after.frame_hits, before.frame_hits + 1, "{name}: not warm");
+        assert_eq!(after.sessions_built, before.sessions_built, "{name}");
+        assert_eq!(reference, warm, "{name}: warm session disagrees with Fresh");
+        for (label, phi) in &program.safety {
+            let reference = fresh.check_k_invariance(phi, k).unwrap();
+            let warm = session.check_k_invariance(phi, k).unwrap();
+            assert_eq!(
+                reference.map(|t| t.steps()),
+                warm.map(|t| t.steps()),
+                "{name}: warm k-invariance of `{label}` differs"
             );
         }
     }

@@ -3,16 +3,14 @@
 //! declares `k`-invariant must survive random concrete walks of length `k`.
 
 use ivy_repro::fol::parse_formula;
-use ivy_repro::ivy::Bmc;
+use ivy_repro::ivy::{Bmc, Trace};
 use ivy_repro::protocols::leader;
 use ivy_repro::rml::interp::rand_like::XorShift;
-use ivy_repro::rml::{exec_all, step_random, ExecOutcome};
+use ivy_repro::rml::{exec_all, step_random, ExecOutcome, Program};
 
-#[test]
-fn figure4_trace_replays_concretely() {
-    let program = leader::program_without_unique_ids();
-    let bmc = Bmc::new(&program);
-    let trace = bmc.check_safety(4).unwrap().expect("bug reachable");
+/// Every step of `trace` must be one concrete execution of its labeled
+/// action from the previous state.
+fn assert_replays(program: &Program, trace: &Trace) {
     let axiom = program.axiom();
     for i in 0..trace.steps() {
         let action = program
@@ -25,6 +23,33 @@ fn figure4_trace_replays_concretely() {
         });
         assert!(replayed, "step {i} ({}) does not replay", trace.actions[i]);
     }
+}
+
+#[test]
+fn figure4_trace_replays_concretely() {
+    let program = leader::program_without_unique_ids();
+    let bmc = Bmc::new(&program);
+    let trace = bmc.check_safety(4).unwrap().expect("bug reachable");
+    assert_replays(&program, &trace);
+}
+
+#[test]
+fn warm_trace_replays_concretely() {
+    // A k-invariance scan of `true` reaches depth 4 and pools the whole
+    // unrolling; the safety scan then runs on that warm session, with the
+    // steps past each queried depth masked. Its states may range over a
+    // larger domain than a cold trace's (the masked steps' Skolem
+    // constants stay in the universe), but must replay all the same.
+    let program = leader::program_without_unique_ids();
+    let bmc = Bmc::new(&program);
+    let always = parse_formula("true").unwrap();
+    assert!(bmc.check_k_invariance(&always, 4).unwrap().is_none());
+    let hits = bmc.oracle().rollup().frame_hits;
+    let trace = bmc.check_safety(4).unwrap().expect("bug reachable");
+    assert_eq!(bmc.oracle().rollup().frame_hits, hits + 1, "scan ran warm");
+    assert_replays(&program, &trace);
+    let phi = parse_formula(leader::C0).unwrap();
+    assert!(!trace.states.last().unwrap().eval_closed(&phi).unwrap());
 }
 
 #[test]
