@@ -30,7 +30,6 @@ fn main() {
         for (key, strategy) in [
             ("verify_fresh", QueryStrategy::Fresh),
             ("verify_session", QueryStrategy::Session),
-            ("verify_parallel4", QueryStrategy::Parallel(4)),
         ] {
             let sample = measure(SAMPLES, || {
                 let mut v = Verifier::new(program);
@@ -65,7 +64,7 @@ fn main() {
             entry.name,
             fields.join(", "),
             times[0].1 / times[1].1,
-            times[3].1 / times[4].1,
+            times[2].1 / times[3].1,
         );
     }
     let json = format!(

@@ -23,13 +23,10 @@
 //! * `--timeout SECS` — wall-clock budget. On expiry the run prints
 //!   `unknown (deadline exceeded)` and exits with code 3; it never
 //!   reports a wrong verdict or panics.
-//! * `--strategy fresh|session|parallel|portfolio` — how the solver
-//!   oracle discharges queries: re-ground per query, reuse frame-cached
-//!   incremental sessions (the default), fan out fresh queries over
-//!   worker threads, or race diversified SAT solvers inside each query.
-//! * `--jobs N` — worker threads for the parallel strategy, or racing
-//!   solver threads for the portfolio strategy (implies
-//!   `--strategy parallel` when given alone).
+//! * `--strategy fresh|session` — how the solver oracle discharges
+//!   queries: re-ground per query, or reuse frame-cached incremental
+//!   sessions (the default). Not accepted by `serve`, which always pools
+//!   sessions, nor by `client`.
 //! * `--bound N` — bounded quantifier instantiation: ground terms are
 //!   built only to nesting depth N, which admits models *outside* the
 //!   EPR fragment (unstratified functions, `∀∃` alternations). UNSAT
@@ -46,6 +43,9 @@
 //! Every command routes its queries through ONE shared [`Oracle`]
 //! configured by these flags, so e.g. `prove` and the CTI minimization it
 //! may trigger reuse the same frame-keyed session cache.
+//!
+//! A one-shot command rejects (exit code 2) any `-`-prefixed argument it
+//! does not define, and any of its flags given without a value.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -84,17 +84,6 @@ fn main() -> ExitCode {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
-    let jobs_flag = match take_flag(&mut args, "--jobs") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    let jobs = match jobs_flag.as_deref().map(str::parse) {
-        None => None,
-        Some(Ok(n)) if n >= 1 => Some(n),
-        Some(_) => {
-            return usage_error("--jobs expects a positive integer");
-        }
-    };
     let bound_flag = match take_flag(&mut args, "--bound") {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
@@ -107,25 +96,12 @@ fn main() -> ExitCode {
         }
     };
     let strategy = match strategy_flag.as_deref() {
-        None => match jobs {
-            Some(n) => QueryStrategy::Parallel(n),
-            None => QueryStrategy::Session,
-        },
-        Some("fresh") if jobs.is_none() => QueryStrategy::Fresh,
-        Some("session") if jobs.is_none() => QueryStrategy::Session,
-        Some("parallel") => QueryStrategy::Parallel(jobs.unwrap_or_else(default_jobs)),
-        Some("portfolio") => QueryStrategy::Portfolio(jobs.unwrap_or_else(default_jobs).max(2)),
-        Some(other @ ("fresh" | "session")) => {
-            eprintln!(
-                "error: --jobs is only meaningful with --strategy parallel or portfolio,                  not `{other}`"
-            );
-            return ExitCode::from(2);
-        }
+        None | Some("session") => QueryStrategy::Session,
+        Some("fresh") => QueryStrategy::Fresh,
         Some(other) => {
-            eprintln!(
-                "error: unknown --strategy `{other}` (expected fresh|session|parallel|portfolio)"
-            );
-            return ExitCode::from(2);
+            return usage_error(&format!(
+                "unknown --strategy `{other}` (expected fresh|session)"
+            ));
         }
     };
     // The daemon and its thin driver bypass the one-shot oracle path:
@@ -137,13 +113,23 @@ fn main() -> ExitCode {
                     "--profile is not supported with `serve`; every response carries a profile",
                 );
             }
+            if strategy_flag.is_some() {
+                return usage_error(
+                    "--strategy is not supported with `serve`; the server always pools sessions",
+                );
+            }
             let default_timeout = timeout_secs.map(Duration::from_secs_f64);
-            return cmd_serve(&args[1..], strategy, default_timeout, bound);
+            return cmd_serve(&args[1..], default_timeout, bound);
         }
         Some("client") => {
             if profile_path.is_some() {
                 return usage_error(
                     "--profile is not supported with `client`; every response carries a profile",
+                );
+            }
+            if strategy_flag.is_some() {
+                return usage_error(
+                    "--strategy is not supported with `client`; the server always pools sessions",
                 );
             }
             let timeout_ms = timeout_secs.map(|s| (s * 1e3).ceil() as u64);
@@ -184,14 +170,6 @@ fn main() -> ExitCode {
         }
     }
     code
-}
-
-/// Worker-thread default for `--strategy parallel|portfolio` without
-/// `--jobs`.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// Removes `flag VALUE` from `args`, returning the value when present.
@@ -246,8 +224,7 @@ fn write_profile(
 fn usage() -> Result<(ExitCode, &'static str), Box<dyn std::error::Error>> {
     eprintln!(
         "usage: ivy <check|bmc|kinv|prove|cti|dot|houdini|infer|serve|client> MODEL.rml [args] \
-         [--timeout SECS] [--strategy fresh|session|parallel|portfolio] [--jobs N] \
-         [--bound N] [--profile OUT.json]\n\
+         [--timeout SECS] [--strategy fresh|session] [--bound N] [--profile OUT.json]\n\
          ivy serve  --listen ADDR | --socket PATH [--workers N] [--queue N] \
          [--max-timeout SECS] [--max-instances N]\n\
          ivy client --connect ADDR|unix:PATH <prove|bmc|houdini|infer|generalize|status|shutdown> \
@@ -339,6 +316,22 @@ fn load_invariant(
     }
 }
 
+/// The flags each one-shot command defines, with whether each takes a
+/// value. Global flags are removed from the arguments before dispatch.
+fn command_flags(cmd: &str) -> &'static [(&'static str, bool)] {
+    match cmd {
+        "bmc" | "kinv" => &[("-k", true)],
+        "houdini" => &[("--vars", true), ("--lits", true)],
+        "infer" => &[
+            ("--vars", true),
+            ("--literals", true),
+            ("--lits", true),
+            ("--no-constants", false),
+        ],
+        _ => &[],
+    }
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -355,11 +348,30 @@ fn run(
         Some((c, r)) => (c.as_str(), r),
         None => return usage(),
     };
-    // A repeated flag is ambiguous; refuse rather than silently pick one.
-    for (i, a) in rest.iter().enumerate() {
-        if a.len() > 1 && a.starts_with('-') && rest[i + 1..].contains(a) {
-            return Err(format!("{a} given more than once").into());
+    // An unknown, valueless or repeated flag is a typo or ambiguous;
+    // refuse rather than silently ignore it, fall back to a default, or
+    // pick one value.
+    let flags = command_flags(cmd);
+    let mut seen: Vec<&str> = Vec::new();
+    let mut i = 0;
+    while i < rest.len() {
+        let a = rest[i].as_str();
+        if a.len() > 1 && a.starts_with('-') {
+            let Some((_, takes_value)) = flags.iter().find(|(f, _)| *f == a) else {
+                return Err(format!("{cmd}: unknown flag {a}").into());
+            };
+            if seen.contains(&a) {
+                return Err(format!("{a} given more than once").into());
+            }
+            seen.push(a);
+            if *takes_value {
+                if i + 1 == rest.len() {
+                    return Err(format!("{a} expects a value").into());
+                }
+                i += 1;
+            }
         }
+        i += 1;
     }
     let Some(model_path) = rest.first() else {
         return usage();
@@ -552,15 +564,13 @@ fn run(
 /// `ivy serve`: run the verification daemon (see `docs/serve-protocol.md`).
 ///
 /// The global `--timeout` flag becomes the server's *default* per-request
-/// budget; `--max-timeout` caps what clients may ask for. `--strategy`
-/// configures the shared oracle.
+/// budget; `--max-timeout` caps what clients may ask for.
 fn cmd_serve(
     rest: &[String],
-    strategy: QueryStrategy,
     default_timeout: Option<Duration>,
     default_bound: Option<usize>,
 ) -> ExitCode {
-    match serve_inner(rest, strategy, default_timeout, default_bound) {
+    match serve_inner(rest, default_timeout, default_bound) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
@@ -571,7 +581,6 @@ fn cmd_serve(
 
 fn serve_inner(
     rest: &[String],
-    strategy: QueryStrategy,
     default_timeout: Option<Duration>,
     default_bound: Option<usize>,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -594,7 +603,6 @@ fn serve_inner(
         return Err(format!("serve: unexpected arguments: {}", rest.join(" ")).into());
     }
     let mut config = ServeConfig {
-        strategy,
         default_timeout,
         default_bound,
         ..ServeConfig::default()

@@ -18,10 +18,7 @@
 //! Every embedding query goes through the engine's [`Oracle`]: the
 //! per-depth reachability frames are built once over one extended signature
 //! (a fresh constant per diagram element), so the dozens of subset queries
-//! issued during deletion minimization all hit the same pooled groundings —
-//! and fan out across worker threads under [`QueryStrategy::Parallel`].
-//!
-//! [`QueryStrategy::Parallel`]: crate::oracle::QueryStrategy::Parallel
+//! issued during deletion minimization all hit the same pooled groundings.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -194,8 +191,7 @@ impl<'p> Generalizer<'p> {
 
     /// Checks whether the conjecture of `s_u` restricted to the given fact
     /// subset is `k`-invariant: no depth's frame embeds the subset. One
-    /// query family over the per-depth frames — fanned out in parallel
-    /// under [`crate::oracle::QueryStrategy::Parallel`].
+    /// query family over the per-depth frames.
     fn invariant_with(
         &self,
         frames: &[Frame],
@@ -471,7 +467,6 @@ action mark { havoc n; marked.insert(n) }
         for strategy in [
             crate::oracle::QueryStrategy::Fresh,
             crate::oracle::QueryStrategy::Session,
-            crate::oracle::QueryStrategy::Parallel(3),
         ] {
             let mut oracle = Oracle::new();
             oracle.set_strategy(strategy);

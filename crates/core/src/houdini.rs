@@ -63,8 +63,8 @@ pub fn houdini_budgeted(
 }
 
 /// [`houdini`] issuing every query through `oracle`: its strategy governs
-/// how candidate sweeps run (incrementally, fresh, or fanned out in
-/// parallel), and its frame-keyed session cache is shared with any other
+/// how candidate sweeps run (incrementally or fresh), and its frame-keyed
+/// session cache is shared with any other
 /// engine holding the same oracle — e.g. the final safety check reuses the
 /// one-step frame grounded during consecution filtering.
 ///

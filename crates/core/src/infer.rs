@@ -15,8 +15,7 @@
 //! 2. **Filter** — [`houdini_with_oracle`] drops every candidate falsified
 //!    by an initiation counterexample or a consecution CTI successor. All
 //!    queries go through one shared [`Oracle`], so probes are batched
-//!    [`Oracle::first_sat`] sweeps that fan out under
-//!    [`crate::QueryStrategy::Parallel`] and reuse frame-cached sessions.
+//!    [`Oracle::first_sat`] sweeps that reuse frame-cached sessions.
 //! 3. **Block** — when the surviving set fails to prove safety, the loop
 //!    does not restart: it asks the [`Verifier`] for a CTI, turns the CTI
 //!    state into a blocking conjecture with the diagram machinery of
@@ -496,7 +495,7 @@ fn reachability_filter_at(
 
 /// Rediscovers an inductive invariant proving `program`'s safety from its
 /// safety properties alone. Every solver query is issued through `oracle`,
-/// so strategy (sequential, parallel fan-out, portfolio), budgets, and the
+/// so strategy (fresh or session), budgets, and the
 /// frame-keyed session cache are all inherited — and shared with any other
 /// engine holding the same oracle.
 ///

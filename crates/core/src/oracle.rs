@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex};
 
 use ivy_epr::{
     frame_fingerprint, frame_fingerprint_with_mode, Budget, EprCheck, EprError, EprOutcome,
-    EprSession, GroupId, InstantiationMode, Model, SolverConfig, DEFAULT_INSTANCE_LIMIT,
+    EprSession, GroupId, InstantiationMode, Model, DEFAULT_INSTANCE_LIMIT,
 };
 use ivy_fol::intern::FormulaId;
 use ivy_fol::Signature;
@@ -81,7 +81,7 @@ pub(crate) fn sat_model(outcome: EprOutcome) -> Result<Option<Model>, EprError> 
 
 /// How an [`Oracle`] discharges its families of per-goal queries.
 ///
-/// All three strategies return the same verdict and report the same
+/// Both strategies return the same verdict and report the same
 /// first-found witness (the one with the lowest goal index); only the
 /// witnessing model may differ, as SAT models are not unique.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -95,18 +95,6 @@ pub enum QueryStrategy {
     /// axioms across queries — and across engines. The default.
     #[default]
     Session,
-    /// Fresh per-query checks fanned out over (up to) the given number of
-    /// worker threads, in waves. Deterministic: each wave's results are
-    /// inspected in goal order, so the lowest-index witness wins regardless
-    /// of thread timing.
-    Parallel(usize),
-    /// Pooled incremental sessions (like [`QueryStrategy::Session`]) whose
-    /// SAT queries each race the given number of diversified solver threads
-    /// *inside* the query, sharing glue clauses (see
-    /// [`ivy_epr::SolverConfig::portfolio`]). Verdicts are identical to the
-    /// sequential strategies; only witnesses/cores may differ, within their
-    /// usual nondeterminism.
-    Portfolio(usize),
 }
 
 /// The persistent part of a query family: a signature plus an ordered list
@@ -245,7 +233,6 @@ pub struct Oracle {
     budget: Budget,
     instance_limit: u64,
     lazy_round_limit: Option<usize>,
-    solver_config: SolverConfig,
     shared: Arc<OracleShared>,
 }
 
@@ -257,7 +244,6 @@ impl Clone for Oracle {
             budget: self.budget,
             instance_limit: self.instance_limit,
             lazy_round_limit: self.lazy_round_limit,
-            solver_config: self.solver_config,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -291,7 +277,6 @@ impl Oracle {
             budget: Budget::UNLIMITED,
             instance_limit: DEFAULT_INSTANCE_LIMIT,
             lazy_round_limit: None,
-            solver_config: SolverConfig::default(),
             shared: Arc::new(OracleShared::new()),
         }
     }
@@ -387,33 +372,6 @@ impl Oracle {
         self.lazy_round_limit = limit;
     }
 
-    /// Sets the SAT solver configuration (CDCL feature toggles) applied to
-    /// every query. The portfolio fan-out is governed by the strategy:
-    /// [`QueryStrategy::Portfolio`] overrides
-    /// [`ivy_epr::SolverConfig::portfolio`] with its thread count, and every
-    /// other strategy forces it to 0 (sequential).
-    pub fn set_solver_config(&mut self, config: SolverConfig) {
-        self.solver_config = config;
-    }
-
-    /// The configured solver feature toggles (before the strategy's
-    /// portfolio override).
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver_config
-    }
-
-    /// The solver configuration actually handed to sessions and checks:
-    /// the configured toggles with the portfolio fan-out derived from the
-    /// strategy.
-    fn effective_solver_config(&self) -> SolverConfig {
-        let mut config = self.solver_config;
-        config.portfolio = match self.strategy {
-            QueryStrategy::Portfolio(n) => n.max(2),
-            _ => 0,
-        };
-        config
-    }
-
     /// Discharges one `frame ∧ goal` query under the active strategy.
     ///
     /// # Errors
@@ -421,10 +379,8 @@ impl Oracle {
     /// Propagates [`EprError`].
     pub fn solve(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
         let result = match self.strategy {
-            QueryStrategy::Session | QueryStrategy::Portfolio(_) => {
-                self.open(frame)?.solve_goal(goal)
-            }
-            _ => self.fresh_goal(frame, goal),
+            QueryStrategy::Session => self.open(frame)?.solve_goal(goal),
+            QueryStrategy::Fresh => self.fresh_goal(frame, goal),
         };
         result.map_err(|e| self.soften(e))
     }
@@ -448,9 +404,7 @@ impl Oracle {
 
     /// Discharges the query family `frame ∧ goal(0..count)` and returns the
     /// lowest-index satisfiable goal's witness, or `None` when every goal is
-    /// unsatisfiable. Under [`QueryStrategy::Parallel`] the goals fan out
-    /// over worker threads in waves; the result is deterministic (lowest
-    /// index wins).
+    /// unsatisfiable.
     ///
     /// # Errors
     ///
@@ -464,15 +418,11 @@ impl Oracle {
         witness: W,
     ) -> Result<Option<T>, EprError>
     where
-        T: Send,
-        G: Fn(usize) -> Goal + Sync,
-        W: Fn(usize, &Model) -> T + Sync,
+        G: Fn(usize) -> Goal,
+        W: Fn(usize, &Model) -> T,
     {
         let result = match self.strategy {
-            QueryStrategy::Parallel(threads) => parallel_first(threads, count, |i| {
-                Ok(sat_model(self.fresh_goal(frame, &goal(i))?)?.map(|m| witness(i, &m)))
-            }),
-            QueryStrategy::Session | QueryStrategy::Portfolio(_) => (|| {
+            QueryStrategy::Session => (|| {
                 let mut h = self.open(frame)?;
                 for i in 0..count {
                     if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
@@ -508,26 +458,16 @@ impl Oracle {
         witness: W,
     ) -> Result<Option<T>, EprError>
     where
-        T: Send,
-        P: Fn(usize) -> (&'f Frame, Goal) + Sync,
-        W: Fn(usize, &Model) -> T + Sync,
+        P: Fn(usize) -> (&'f Frame, Goal),
+        W: Fn(usize, &Model) -> T,
     {
-        let result = match self.strategy {
-            QueryStrategy::Parallel(threads) => parallel_first(threads, count, |i| {
-                let (frame, goal) = probe(i);
-                Ok(sat_model(self.fresh_goal(frame, &goal)?)?.map(|m| witness(i, &m)))
-            }),
-            _ => (|| {
-                for i in 0..count {
-                    let (frame, goal) = probe(i);
-                    if let Some(m) = sat_model(self.solve(frame, &goal)?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-        };
-        result.map_err(|e| self.soften(e))
+        for i in 0..count {
+            let (frame, goal) = probe(i);
+            if let Some(m) = sat_model(self.solve(frame, &goal)?)? {
+                return Ok(Some(witness(i, &m)));
+            }
+        }
+        Ok(None)
     }
 
     /// Opens a handle for a *stateful* query family over one frame: the
@@ -560,7 +500,7 @@ impl Oracle {
         let key = frame.fingerprint_with_mode(self.mode);
         let live = match self.strategy {
             QueryStrategy::Fresh => None,
-            _ => {
+            QueryStrategy::Session => {
                 let mut live = self.checkout(frame, key, n).map_err(|e| self.soften(e))?;
                 // A pooled session holds the whole frame: mask the suffix.
                 for gid in &live.frame_groups[n..] {
@@ -614,7 +554,6 @@ impl Oracle {
         q.set_instance_limit(self.instance_limit);
         q.set_budget(self.budget);
         q.set_lazy_round_limit(round_limit);
-        q.set_solver_config(self.effective_solver_config());
         for (label, id) in &frame.asserts()[..prefix] {
             q.assert_id(label.clone(), *id)?;
         }
@@ -654,7 +593,6 @@ impl Oracle {
                 session.set_budget(self.budget);
                 session.set_instance_limit(self.instance_limit);
                 session.set_lazy_round_limit(self.lazy_round_limit);
-                session.set_solver_config(self.effective_solver_config());
                 self.note_checkout(true);
                 Ok(LiveState::new(session, frame_groups, true))
             }
@@ -681,7 +619,6 @@ impl Oracle {
         s.set_instance_limit(self.instance_limit);
         s.set_budget(self.budget);
         s.set_lazy_round_limit(round_limit);
-        s.set_solver_config(self.effective_solver_config());
         let mut frame_groups = Vec::with_capacity(frame.asserts().len());
         for (label, id) in &frame.asserts()[..prefix] {
             frame_groups.push(s.assert_id(label.clone(), *id)?);
@@ -1032,39 +969,6 @@ impl Drop for FrameSession<'_> {
     }
 }
 
-/// Runs `count` independent queries across up to `threads` scoped worker
-/// threads, in waves. Both results and errors are inspected in index order,
-/// so the outcome (the lowest-index witness, or the lowest-index error) is
-/// deterministic regardless of thread scheduling.
-fn parallel_first<T, F>(threads: usize, count: usize, query: F) -> Result<Option<T>, EprError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<Option<T>, EprError> + Sync,
-{
-    let threads = threads.max(1);
-    let mut start = 0;
-    while start < count {
-        let end = usize::min(start + threads, count);
-        let wave: Vec<Result<Option<T>, EprError>> = std::thread::scope(|scope| {
-            let query = &query;
-            let handles: Vec<_> = (start..end)
-                .map(|i| scope.spawn(move || query(i)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query thread panicked"))
-                .collect()
-        });
-        for result in wave {
-            if let Some(found) = result? {
-                return Ok(Some(found));
-            }
-        }
-        start = end;
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1107,12 +1011,7 @@ mod tests {
         frame.push("base", fid("forall X:s. r(X)"));
         let sat_goal = Goal::new("g", fid("r(a)"));
         let unsat_goal = Goal::new("g", fid("exists X:s. ~r(X)"));
-        for strategy in [
-            QueryStrategy::Fresh,
-            QueryStrategy::Session,
-            QueryStrategy::Parallel(2),
-            QueryStrategy::Portfolio(2),
-        ] {
+        for strategy in [QueryStrategy::Fresh, QueryStrategy::Session] {
             let mut oracle = Oracle::new();
             oracle.set_strategy(strategy);
             assert!(
@@ -1222,32 +1121,6 @@ mod tests {
         // A light handle is pooled and reused.
         drop(oracle.open(&frame).unwrap());
         assert_eq!(oracle.rollup().sessions_built, 2);
-    }
-
-    #[test]
-    fn portfolio_strategy_pools_sessions_and_overrides_fanout() {
-        let sig = sig();
-        let mut frame = Frame::new(&sig);
-        frame.push("base", fid("forall X:s. r(X)"));
-        let mut oracle = Oracle::new();
-        oracle.set_strategy(QueryStrategy::Portfolio(3));
-        assert_eq!(oracle.effective_solver_config().portfolio, 3);
-        // Any sequential strategy forces the fan-out back to 0, even when
-        // the configured toggles request one.
-        let mut config = oracle.solver_config();
-        config.portfolio = 8;
-        oracle.set_solver_config(config);
-        oracle.set_strategy(QueryStrategy::Session);
-        assert_eq!(oracle.effective_solver_config().portfolio, 0);
-        oracle.set_strategy(QueryStrategy::Portfolio(4));
-        assert_eq!(oracle.effective_solver_config().portfolio, 4);
-        // Portfolio pools sessions by frame fingerprint, like Session.
-        let goal = Goal::new("g", fid("r(a)"));
-        oracle.solve(&frame, &goal).unwrap();
-        oracle.solve(&frame, &goal).unwrap();
-        let rollup = oracle.rollup();
-        assert_eq!(rollup.sessions_built, 1);
-        assert_eq!(rollup.frame_hits, 1);
     }
 
     #[test]

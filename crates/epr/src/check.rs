@@ -14,7 +14,7 @@ use ivy_fol::xform::Block;
 use ivy_fol::{
     Binding, Elem, Formula, SigError, Signature, SkolemError, Sort, SortError, Structure, Sym,
 };
-use ivy_sat::{Lit, SolveResult, SolverConfig, Stats};
+use ivy_sat::{Lit, SolveResult, Stats};
 use ivy_telemetry::{counter_add, Budget, QueryReport, Span, StopReason};
 
 use crate::encode::{Encoder, EqualityMode, LazyResult, Template};
@@ -296,12 +296,6 @@ impl GroundStats {
                 .minimized_lits
                 .saturating_sub(prev.sat.minimized_lits),
         );
-        counter_add(
-            "sat.portfolio_winner",
-            self.sat
-                .portfolio_winner
-                .saturating_sub(prev.sat.portfolio_winner),
-        );
         counter_add("cache.atom_hits", report.atom_cache_hits);
         counter_add("cache.atom_misses", report.atom_cache_misses);
         report
@@ -334,7 +328,6 @@ pub struct EprCheck {
     equality_mode: EqualityMode,
     lazy_round_limit: Option<usize>,
     budget: Budget,
-    solver_config: SolverConfig,
     stats: GroundStats,
     report: QueryReport,
 }
@@ -374,7 +367,6 @@ impl EprCheck {
             equality_mode: EqualityMode::default(),
             lazy_round_limit: None,
             budget: Budget::UNLIMITED,
-            solver_config: SolverConfig::default(),
             stats: GroundStats::default(),
             report: QueryReport::default(),
         })
@@ -383,12 +375,6 @@ impl EprCheck {
     /// The instantiation mode this query runs under.
     pub fn mode(&self) -> InstantiationMode {
         self.mode
-    }
-
-    /// Sets the SAT solver configuration (feature toggles, portfolio
-    /// fan-out) applied to the solver of every subsequent [`EprCheck::check`].
-    pub fn set_solver_config(&mut self, config: SolverConfig) {
-        self.solver_config = config;
     }
 
     /// Bounds the lazy equality repair loop; exceeding it yields
@@ -495,7 +481,6 @@ impl EprCheck {
         }
         let (work_sig, mut enc, guards) = self.grounded()?;
         let assumptions: Vec<Lit> = guards.iter().map(|(g, _)| *g).collect();
-        enc.solver_mut().set_config(self.solver_config);
         enc.solver_mut().set_deadline(self.budget.deadline);
         let sat_span = Span::enter("sat");
         let result = match self.equality_mode {
@@ -692,9 +677,6 @@ impl EprCheck {
         let encode_span = Span::enter("encode");
         let mut enc = Encoder::new(table);
         enc.set_bound(self.mode.depth());
-        // The config must be live *during* encoding (`flat_cnf` gates the
-        // clausal fast path), not just at solve time.
-        enc.solver_mut().set_config(self.solver_config);
         // One assumption guard per assertion (for UNSAT cores).
         let mut guards: Vec<(Lit, String)> = Vec::new();
         for (label, jobs) in &ground_jobs {

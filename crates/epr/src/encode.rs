@@ -800,7 +800,7 @@ impl Encoder {
             self.skipped += 1;
             return;
         }
-        let Some(cnf) = tpl.cnf.as_ref().filter(|_| self.solver.config().flat_cnf) else {
+        let Some(cnf) = tpl.cnf.as_ref() else {
             let root = self.encode_tnode(&tpl.root, &vals, Polarity::Pos);
             self.scratch_vals = vals;
             self.add_clause([!guard, root]);

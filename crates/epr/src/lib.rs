@@ -46,6 +46,5 @@ pub use check::{
 };
 pub use encode::{Encoder, EqualityMode, LazyResult};
 pub use ground::{ensure_inhabited, GroundTerm, TermId, TermTable};
-pub use ivy_sat::SolverConfig;
 pub use ivy_telemetry::{Budget, QueryReport, StopReason};
 pub use session::{frame_fingerprint, frame_fingerprint_with_mode, EprSession, GroupId};

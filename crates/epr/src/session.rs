@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::xform::Block;
 use ivy_fol::{Binding, Formula, Signature, Sort, Sym};
-use ivy_sat::{Lit, SolverConfig};
+use ivy_sat::Lit;
 use ivy_telemetry::{Budget, QueryReport, Span, StopReason};
 
 use crate::check::{
@@ -236,13 +236,6 @@ impl EprSession {
     /// never gives up.
     pub fn set_lazy_round_limit(&mut self, limit: Option<usize>) {
         self.lazy_round_limit = limit;
-    }
-
-    /// Sets the SAT solver configuration (feature toggles, portfolio
-    /// fan-out) for all subsequent [`EprSession::check`] calls. Applies to
-    /// the session's long-lived incremental solver immediately.
-    pub fn set_solver_config(&mut self, config: SolverConfig) {
-        self.enc.solver_mut().set_config(config);
     }
 
     /// The working signature: the original symbols plus split guards and

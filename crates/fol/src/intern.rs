@@ -21,8 +21,9 @@
 //! # Determinism
 //!
 //! Arena ids depend on global intern order, which depends on thread timing
-//! under `QueryStrategy::Parallel`. Nothing user-visible may therefore
-//! depend on *id order*: iteration that affects output must run over
+//! when several `ivy serve` workers intern concurrently. Nothing
+//! user-visible may therefore depend on *id order*: iteration that affects
+//! output must run over
 //! name-ordered (`Sym`-keyed) structures or follow formula structure, never
 //! over id-keyed maps. All code in this module observes that rule.
 

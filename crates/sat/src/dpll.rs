@@ -2,7 +2,7 @@
 //! elimination, no learning.
 //!
 //! Deliberately simple — it serves as a differential-testing oracle for the
-//! CDCL solver and as the baseline in the solver ablation benchmark.
+//! CDCL solver.
 
 use crate::cnf::Cnf;
 use crate::lit::Lit;

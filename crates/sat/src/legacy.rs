@@ -5,11 +5,10 @@
 //! It is kept verbatim — two-watched-literal propagation, first-UIP conflict
 //! analysis, VSIDS with phase saving, Luby restarts, activity-based
 //! learnt-clause deletion, assumption-based incremental solving with UNSAT
-//! cores — so randomized differential tests and the `solver_ablation` bench
-//! can pin the arena solver's verdicts and measure the layout change in
-//! isolation. New features (LBD reduction, recursive minimization,
-//! chronological backtracking, portfolio racing) exist only in the arena
-//! solver; do not add them here.
+//! cores — so randomized differential tests can pin the arena solver's
+//! verdicts. New features (LBD reduction, recursive minimization,
+//! chronological backtracking) exist only in the arena solver; do not add
+//! them here.
 
 use crate::lit::{LBool, Lit, Var};
 use crate::solver::{Interrupt, SolveResult, Stats};
@@ -159,10 +158,6 @@ pub struct Solver {
     /// Problem (non-learnt) clauses submitted via `add_clause`, counted
     /// before simplification; sizes the learnt-clause database.
     problem_clauses: usize,
-    /// When true (the default), `max_learnts` is raised to a fraction of
-    /// the problem clause count at each solve, so large groundings do not
-    /// thrash the learnt database against the old fixed cap of 1000.
-    scale_learnts: bool,
     /// Wall-clock deadline; search gives up (gracefully) once it passes.
     deadline: Option<Instant>,
     /// Why the most recent `solve_budgeted` returned `None`.
@@ -178,7 +173,6 @@ impl Solver {
             cla_inc: 1.0,
             ok: true,
             max_learnts: 1000.0,
-            scale_learnts: true,
             ..Solver::default()
         }
     }
@@ -256,14 +250,6 @@ impl Solver {
     /// (cleared at the start of each solve).
     pub fn last_interrupt(&self) -> Option<Interrupt> {
         self.interrupt
-    }
-
-    /// Enables or disables sizing the learnt-clause database from the
-    /// problem clause count (on by default). With scaling off the database
-    /// starts at the historical fixed cap of 1000 regardless of problem
-    /// size — kept for ablation.
-    pub fn set_learnt_scaling(&mut self, enabled: bool) {
-        self.scale_learnts = enabled;
     }
 
     /// Adds a clause. Returns `false` when the solver becomes trivially
@@ -693,14 +679,12 @@ impl Solver {
             self.ok = false;
             return Some(SolveResult::Unsat);
         }
-        if self.scale_learnts {
-            // Size the learnt database to the problem: a fixed cap of 1000
-            // thrashes on 100k+-clause groundings. Only ever raise it, so
-            // the usual 1.1x growth is preserved across incremental calls.
-            let target = (self.problem_clauses / 3).max(1000) as f64;
-            if self.max_learnts < target {
-                self.max_learnts = target;
-            }
+        // Size the learnt database to the problem: a fixed cap of 1000
+        // thrashes on 100k+-clause groundings. Only ever raise it, so the
+        // usual 1.1x growth is preserved across incremental calls.
+        let target = (self.problem_clauses / 3).max(1000) as f64;
+        if self.max_learnts < target {
+            self.max_learnts = target;
         }
         let conflict_limit = self.stats.conflicts.saturating_add(max_conflicts);
         let mut restart = 0u64;
@@ -900,30 +884,22 @@ mod tests {
 
     #[test]
     fn learnt_cap_scales_with_problem_size() {
-        let build = || {
-            let mut s = Solver::new();
-            let mut prev = s.new_var();
-            // 6000 distinct implication clauses: a satisfiable problem big
-            // enough that `problem_clauses / 3` exceeds the fixed cap.
-            for _ in 0..6000 {
-                let v = s.new_var();
-                s.add_clause([prev.neg(), v.pos()]);
-                prev = v;
-            }
-            s
-        };
-        let mut scaled = build();
-        assert_eq!(scaled.solve(), SolveResult::Sat);
+        let mut s = Solver::new();
+        let mut prev = s.new_var();
+        // 6000 distinct implication clauses: a satisfiable problem big
+        // enough that `problem_clauses / 3` exceeds the fixed cap.
+        for _ in 0..6000 {
+            let v = s.new_var();
+            s.add_clause([prev.neg(), v.pos()]);
+            prev = v;
+        }
+        assert_eq!(s.solve(), SolveResult::Sat);
         assert!(
-            scaled.max_learnts >= (scaled.problem_clauses / 3) as f64,
-            "scaling on: cap {} for {} clauses",
-            scaled.max_learnts,
-            scaled.problem_clauses
+            s.max_learnts >= (s.problem_clauses / 3) as f64,
+            "cap {} for {} clauses",
+            s.max_learnts,
+            s.problem_clauses
         );
-        let mut fixed = build();
-        fixed.set_learnt_scaling(false);
-        assert_eq!(fixed.solve(), SolveResult::Sat);
-        assert_eq!(fixed.max_learnts, 1000.0, "scaling off keeps the old cap");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`Cnf`]: a plain clause container, the target of Tseitin encoding in
 //!   `ivy-epr`.
 //! * [`solve_dpll`] / [`solve_brute_force`]: reference solvers used as
-//!   differential-testing oracles and ablation baselines.
+//!   differential-testing oracles.
 //! * [`parse_dimacs`] / [`write_dimacs`]: DIMACS interoperability.
 //!
 //! # Example
@@ -38,4 +38,4 @@ pub use cnf::Cnf;
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use dpll::{solve_brute_force, solve_dpll};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Interrupt, SolveResult, Solver, SolverConfig, Stats};
+pub use solver::{Interrupt, SolveResult, Solver, Stats};

@@ -5,20 +5,15 @@
 //! trick as the interned-term arena in `ivy-fol`. Deletion marks a header
 //! bit and counts wasted words; a compacting GC rewrites the arena through
 //! forwarding pointers once a quarter of it is garbage. On top of the
-//! arena the solver layers the competition-era CDCL features, each behind a
-//! [`SolverConfig`] toggle so the `solver_ablation` bench can measure it in
-//! isolation:
+//! arena the solver layers the competition-era CDCL features:
 //!
 //! * **LBD (glue) reduction** — every learnt clause records its literal
 //!   block distance; the learnt database is periodically halved keeping
-//!   low-LBD / high-activity clauses, replacing the blunt `max_learnts` cap.
+//!   low-LBD / high-activity clauses.
 //! * **Recursive conflict-clause minimization** — MiniSat's `litRedundant`
 //!   walk over the implication graph, dropping dominated literals.
 //! * **Chronological backtracking** — when analysis would jump far past the
 //!   conflict level, back up one level instead and assert there.
-//! * **Portfolio racing** — N diversified clones of the solver race on the
-//!   same clause database with bounded sharing of glue clauses; first
-//!   decisive answer wins and the winner's state is adopted.
 //!
 //! The paper's Ivy uses Z3 as its satisfiability back end; this solver
 //! (plus the EPR grounding layer in `ivy-epr`) is our from-scratch
@@ -26,8 +21,6 @@
 //! differential-testing baseline.
 
 use crate::lit::{LBool, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Statistics about a solver's run, cumulative over all `solve` calls.
@@ -47,10 +40,6 @@ pub struct Stats {
     pub lbd_reductions: u64,
     /// Literals removed from learnt clauses by conflict-clause minimization.
     pub minimized_lits: u64,
-    /// Portfolio races run (calls that fanned out to diversified workers).
-    pub portfolio_races: u64,
-    /// Portfolio races won by a diversified (non-baseline) worker.
-    pub portfolio_winner: u64,
 }
 
 /// The result of [`Solver::solve_with_assumptions`].
@@ -71,76 +60,6 @@ pub enum Interrupt {
     Conflicts,
     /// The wall-clock deadline set via [`Solver::set_deadline`] passed.
     Deadline,
-    /// A portfolio sibling answered first and asked this worker to stop.
-    /// Never observed through [`Solver::last_interrupt`] on the adopted
-    /// winner: a stopped worker only loses the race to a decisive answer.
-    Stopped,
-}
-
-/// Feature toggles and tuning knobs for the CDCL search.
-///
-/// [`SolverConfig::default`] enables every feature; [`SolverConfig::baseline`]
-/// reproduces the pre-arena solver's policies (activity-capped learnt
-/// database, one-level minimization, pure backjumping) for ablation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolverConfig {
-    /// Reduce the learnt database by LBD (glue) instead of the
-    /// `max_learnts` activity cap.
-    pub lbd_reduction: bool,
-    /// Use recursive (full implication-graph) conflict-clause minimization
-    /// instead of the one-level check.
-    pub recursive_minimization: bool,
-    /// Backtrack chronologically (one level) when analysis would jump more
-    /// than [`SolverConfig::chrono_threshold`] levels.
-    pub chrono_backtrack: bool,
-    /// Minimum backjump distance before chronological backtracking kicks in.
-    pub chrono_threshold: u32,
-    /// Base conflict budget per Luby restart (the pre-arena solver used 100).
-    pub restart_unit: u64,
-    /// VSIDS variable-activity decay factor (activity increment grows by
-    /// `1 / var_decay` per conflict).
-    pub var_decay: f64,
-    /// Number of diversified solver threads to race per query; values below
-    /// 2 solve sequentially.
-    pub portfolio: usize,
-    /// Emit flat CNF (no Tseitin gates) for matrices that distribute into a
-    /// small clause set. An *encoder-level* feature — the SAT core itself
-    /// ignores it — carried here so the whole per-query feature set has a
-    /// single ablation surface.
-    pub flat_cnf: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            lbd_reduction: true,
-            recursive_minimization: true,
-            chrono_backtrack: true,
-            chrono_threshold: 100,
-            restart_unit: 100,
-            var_decay: 0.95,
-            portfolio: 0,
-            flat_cnf: true,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The all-features-off configuration: identical search policies to the
-    /// frozen pre-arena solver in [`crate::legacy`], so ablations can
-    /// isolate the arena layout itself.
-    pub fn baseline() -> SolverConfig {
-        SolverConfig {
-            lbd_reduction: false,
-            recursive_minimization: false,
-            chrono_backtrack: false,
-            chrono_threshold: 100,
-            restart_unit: 100,
-            var_decay: 0.95,
-            portfolio: 0,
-            flat_cnf: false,
-        }
-    }
 }
 
 /// Word offset of a clause inside the arena.
@@ -152,11 +71,8 @@ const HEADER_WORDS: usize = 3;
 const LEARNT_BIT: u32 = 1 << 0;
 /// Header word 0, bit 1: clause is deleted (space reclaimed by the next GC).
 const DELETED_BIT: u32 = 1 << 1;
-/// Header word 0, bit 2: clause was already exported to (or imported from)
-/// the portfolio share pool.
-const EXPORTED_BIT: u32 = 1 << 2;
 /// Clause size is stored in header word 0 above the flag bits.
-const SIZE_SHIFT: u32 = 3;
+const SIZE_SHIFT: u32 = 2;
 
 /// Flat clause storage: `[header, activity, lbd, lit0, lit1, ...]*`.
 ///
@@ -219,15 +135,6 @@ impl ClauseArena {
     #[inline]
     fn is_learnt(&self, c: ClauseRef) -> bool {
         self.header(c) & LEARNT_BIT != 0
-    }
-
-    #[inline]
-    fn is_exported(&self, c: ClauseRef) -> bool {
-        self.header(c) & EXPORTED_BIT != 0
-    }
-
-    fn set_exported(&mut self, c: ClauseRef) {
-        self.data[c.0 as usize] |= EXPORTED_BIT;
     }
 
     fn delete(&mut self, c: ClauseRef) {
@@ -365,35 +272,20 @@ impl VarHeap {
     }
 }
 
-/// Clauses exported by portfolio workers: `(lbd, literals)` pairs appended
-/// under the pool mutex; each worker keeps a private cursor into the vec.
-type SharePool = Arc<Mutex<Vec<(u32, Vec<Lit>)>>>;
-
-/// A worker's connection to the portfolio share pool.
-#[derive(Clone, Debug)]
-struct ShareLink {
-    pool: SharePool,
-    /// Pool entries before this index were already imported.
-    cursor: usize,
-}
-
-/// The winning worker of a portfolio race: `(index, solver, result)`.
-type WinnerSlot = Mutex<Option<(usize, Box<Solver>, Option<SolveResult>)>>;
-
-/// Per-exchange cap on clauses a worker pushes to the share pool.
-const SHARE_EXPORT_PER_ROUND: usize = 16;
-/// Only clauses this short or with LBD at most [`SHARE_MAX_LBD`] are shared.
-const SHARE_MAX_LEN: usize = 2;
-/// LBD ceiling for sharing (and the "glue" protection bound in reduction).
-const SHARE_MAX_LBD: u32 = 2;
-/// Total share-pool size cap across all workers of one race.
-const SHARE_POOL_CAP: usize = 512;
-/// Upper bound on portfolio fan-out regardless of configuration.
-const MAX_PORTFOLIO_WORKERS: usize = 8;
+/// Learnt clauses with LBD at most this ("glue" clauses) survive every
+/// reduction.
+const GLUE_MAX_LBD: u32 = 2;
 /// Conflicts before the first LBD-based reduction.
 const REDUCE_BASE: u64 = 2000;
 /// Extra conflicts added to the reduction interval per reduction done.
 const REDUCE_INTERVAL_GROWTH: u64 = 300;
+/// Base conflict budget per Luby restart.
+const RESTART_UNIT: u64 = 100;
+/// VSIDS variable-activity decay factor (the activity increment grows by
+/// `1 / VAR_DECAY` per conflict).
+const VAR_DECAY: f64 = 0.95;
+/// Minimum backjump distance before chronological backtracking kicks in.
+const CHRONO_THRESHOLD: u32 = 100;
 
 /// A CDCL SAT solver.
 ///
@@ -440,25 +332,15 @@ pub struct Solver {
     assumptions: Vec<Lit>,
     core: Vec<Lit>,
     model: Vec<LBool>,
-    max_learnts: f64,
     /// Conflict count that triggers the next LBD reduction.
     next_reduce: u64,
     /// LBD reductions done so far (grows the reduction interval).
     reduce_count: u64,
-    /// Problem (non-learnt) clauses submitted via `add_clause`, counted
-    /// before simplification; sizes the learnt-clause database.
-    problem_clauses: usize,
-    /// When true (the default), `max_learnts` is raised to a fraction of
-    /// the problem clause count at each solve, so large groundings do not
-    /// thrash the learnt database against the old fixed cap of 1000.
-    scale_learnts: bool,
-    config: SolverConfig,
+    /// Backjumps longer than this many levels backtrack chronologically
+    /// instead ([`CHRONO_THRESHOLD`]; unit tests lower it).
+    chrono_threshold: u32,
     /// Wall-clock deadline; search gives up (gracefully) once it passes.
     deadline: Option<Instant>,
-    /// Cooperative cancellation flag shared across a portfolio race.
-    stop: Option<Arc<AtomicBool>>,
-    /// Link to the portfolio clause-share pool, if racing.
-    share: Option<ShareLink>,
     /// Why the most recent `solve_budgeted` returned `None`.
     interrupt: Option<Interrupt>,
     /// Reused literal buffer for `add_clause` simplification — EPR
@@ -469,43 +351,16 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default (all features on)
-    /// configuration.
+    /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
             var_inc: 1.0,
             cla_inc: 1.0,
             ok: true,
-            max_learnts: 1000.0,
             next_reduce: REDUCE_BASE,
-            scale_learnts: true,
-            config: SolverConfig::default(),
+            chrono_threshold: CHRONO_THRESHOLD,
             ..Solver::default()
         }
-    }
-
-    /// Creates an empty solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> Solver {
-        Solver {
-            config,
-            ..Solver::new()
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.config
-    }
-
-    /// Replaces the configuration. Takes effect on the next solve; safe to
-    /// call between incremental queries.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// Sets the portfolio fan-out (see [`SolverConfig::portfolio`]).
-    pub fn set_portfolio(&mut self, workers: usize) {
-        self.config.portfolio = workers;
     }
 
     /// Allocates a fresh variable.
@@ -580,14 +435,6 @@ impl Solver {
         self.interrupt
     }
 
-    /// Enables or disables sizing the learnt-clause database from the
-    /// problem clause count (on by default). With scaling off the database
-    /// starts at the historical fixed cap of 1000 regardless of problem
-    /// size — kept for ablation.
-    pub fn set_learnt_scaling(&mut self, enabled: bool) {
-        self.scale_learnts = enabled;
-    }
-
     /// Adds a clause. Returns `false` when the solver becomes trivially
     /// unsatisfiable (empty clause, or a unit contradicting level-0 facts).
     ///
@@ -602,7 +449,6 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        self.problem_clauses += 1;
         let mut buf = std::mem::take(&mut self.scratch_add);
         buf.clear();
         buf.extend(lits);
@@ -905,21 +751,14 @@ impl Solver {
         learnt[0] = !p.expect("loop sets p");
 
         // Conflict-clause minimization: drop literals implied by the rest of
-        // the clause, either through their immediate reason (one-level) or
-        // the whole implication graph (recursive).
+        // the clause through any depth of the implication graph.
         let mut to_clear: Vec<Var> = Vec::new();
         let mut keep = vec![true; learnt.len()];
-        if self.config.recursive_minimization {
-            let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
-                acc | Self::abstract_level(self.level[l.var().index()])
-            });
-            for i in 1..learnt.len() {
-                keep[i] = !self.lit_redundant_recursive(learnt[i], abstract_levels, &mut to_clear);
-            }
-        } else {
-            for i in 1..learnt.len() {
-                keep[i] = !self.literal_redundant(learnt[i]);
-            }
+        let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
+            acc | Self::abstract_level(self.level[l.var().index()])
+        });
+        for i in 1..learnt.len() {
+            keep[i] = !self.lit_redundant_recursive(learnt[i], abstract_levels, &mut to_clear);
         }
         let mut minimized = Vec::with_capacity(learnt.len());
         for (i, &l) in learnt.iter().enumerate() {
@@ -955,18 +794,6 @@ impl Solver {
             self.seen[v.index()] = false;
         }
         (minimized, bt)
-    }
-
-    /// Whether `l` is implied by the other literals already in the learnt
-    /// clause (a one-level check, not the full recursive version).
-    fn literal_redundant(&self, l: Lit) -> bool {
-        match self.reason[l.var().index()] {
-            None => false,
-            Some(r) => (0..self.arena.len(r)).all(|k| {
-                let q = self.arena.lit(r, k);
-                q == !l || self.seen[q.var().index()] || self.level[q.var().index()] == 0
-            }),
-        }
     }
 
     /// Bitmask fingerprint of a decision level (MiniSat's `abstractLevel`).
@@ -1059,37 +886,6 @@ impl Solver {
         self.reason[self.arena.lit(r, 0).var().index()] == Some(r)
     }
 
-    /// Activity-based reduction (the pre-arena policy): sort learnt clauses
-    /// by activity, delete the weaker half (skipping binary and locked
-    /// clauses).
-    fn reduce_db(&mut self) {
-        let mut refs = self.learnt_refs.clone();
-        let arena = &self.arena;
-        refs.retain(|&r| !arena.is_deleted(r));
-        refs.sort_by(|&a, &b| {
-            arena
-                .activity(a)
-                .partial_cmp(&arena.activity(b))
-                .expect("activities are finite")
-        });
-        let target = refs.len() / 2;
-        let mut deleted = 0;
-        for &r in refs.iter() {
-            if deleted >= target {
-                break;
-            }
-            let locked = self.arena.len(r) <= 2 || self.is_locked(r);
-            if !locked {
-                self.arena.delete(r);
-                deleted += 1;
-                self.stats.deleted_clauses += 1;
-            }
-        }
-        let arena = &self.arena;
-        self.learnt_refs.retain(|&r| !arena.is_deleted(r));
-        self.maybe_collect_garbage();
-    }
-
     /// LBD-based reduction (Glucose's policy): sort deletion candidates by
     /// LBD descending then activity ascending, delete the worst half.
     /// Binary clauses, glue clauses (LBD ≤ 2), and locked clauses are kept.
@@ -1099,7 +895,7 @@ impl Solver {
             debug_assert!(self.arena.is_deleted(r) || self.arena.is_learnt(r));
             if !self.arena.is_deleted(r)
                 && self.arena.len(r) > 2
-                && self.arena.lbd(r) > SHARE_MAX_LBD
+                && self.arena.lbd(r) > GLUE_MAX_LBD
                 && !self.is_locked(r)
             {
                 cands.push(r);
@@ -1224,25 +1020,7 @@ impl Solver {
     /// this call, or once the deadline set via [`Solver::set_deadline`]
     /// passes; [`Solver::last_interrupt`] tells the two apart. The solver
     /// stays usable afterwards (learnt clauses are kept).
-    ///
-    /// With [`SolverConfig::portfolio`] ≥ 2 the call races that many
-    /// diversified clones of the solver and adopts the winner's state; the
-    /// verdict is identical to a sequential solve (both are sound and
-    /// complete on the same clause set), though models and failed-assumption
-    /// cores may differ within their usual nondeterminism.
     pub fn solve_budgeted(
-        &mut self,
-        assumptions: &[Lit],
-        max_conflicts: u64,
-    ) -> Option<SolveResult> {
-        if self.config.portfolio >= 2 && self.stop.is_none() && self.share.is_none() {
-            self.solve_portfolio(assumptions, max_conflicts)
-        } else {
-            self.solve_budgeted_seq(assumptions, max_conflicts)
-        }
-    }
-
-    fn solve_budgeted_seq(
         &mut self,
         assumptions: &[Lit],
         max_conflicts: u64,
@@ -1258,24 +1036,11 @@ impl Solver {
             self.ok = false;
             return Some(SolveResult::Unsat);
         }
-        if self.scale_learnts {
-            // Size the learnt database to the problem: a fixed cap of 1000
-            // thrashes on 100k+-clause groundings. Only ever raise it, so
-            // the usual 1.1x growth is preserved across incremental calls.
-            let target = (self.problem_clauses / 3).max(1000) as f64;
-            if self.max_learnts < target {
-                self.max_learnts = target;
-            }
-        }
         let conflict_limit = self.stats.conflicts.saturating_add(max_conflicts);
         let mut restart = 0u64;
         loop {
             restart += 1;
-            let budget = self
-                .config
-                .restart_unit
-                .max(1)
-                .saturating_mul(Self::luby(restart));
+            let budget = RESTART_UNIT.saturating_mul(Self::luby(restart));
             match self.search(budget) {
                 Some(result) => {
                     self.backtrack_to(0);
@@ -1284,14 +1049,6 @@ impl Solver {
                 None => {
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    self.exchange_shared_clauses();
-                    if !self.ok {
-                        return Some(SolveResult::Unsat);
-                    }
-                    if self.stop_requested() {
-                        self.interrupt = Some(Interrupt::Stopped);
-                        return None;
-                    }
                     if self.deadline_passed() {
                         self.interrupt = Some(Interrupt::Deadline);
                         return None;
@@ -1309,21 +1066,16 @@ impl Solver {
         matches!(self.deadline, Some(d) if Instant::now() >= d)
     }
 
-    fn stop_requested(&self) -> bool {
-        matches!(&self.stop, Some(f) if f.load(Ordering::Relaxed))
-    }
-
     /// Runs CDCL search for at most `budget` conflicts; `None` = restart.
     fn search(&mut self, budget: u64) -> Option<SolveResult> {
         let mut conflicts_here = 0u64;
         let mut steps = 0u32;
         loop {
-            // Poll the wall clock (and the portfolio stop flag) sparingly: an
-            // overshoot of a few thousand propagation/decision steps is
-            // invisible next to the cost of checking `Instant::now` every
-            // iteration.
+            // Poll the wall clock sparingly: an overshoot of a few thousand
+            // propagation/decision steps is invisible next to the cost of
+            // checking `Instant::now` every iteration.
             steps = steps.wrapping_add(1);
-            if steps & 0x0FFF == 0 && (self.deadline_passed() || self.stop_requested()) {
+            if steps & 0x0FFF == 0 && self.deadline_passed() {
                 return None; // surfaces as a restart; solve_budgeted stops
             }
             if let Some(confl) = self.propagate() {
@@ -1341,9 +1093,8 @@ impl Solver {
                 // trail. Unit learnt clauses always go to level 0 (a reason-
                 // less literal above level 0 would corrupt final-conflict
                 // analysis).
-                let target = if self.config.chrono_backtrack
-                    && learnt.len() > 1
-                    && self.decision_level() > bt.saturating_add(self.config.chrono_threshold)
+                let target = if learnt.len() > 1
+                    && self.decision_level() > bt.saturating_add(self.chrono_threshold)
                 {
                     self.decision_level() - 1
                 } else {
@@ -1358,24 +1109,18 @@ impl Solver {
                     self.bump_clause(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                 }
-                self.var_inc /= self.config.var_decay;
+                self.var_inc /= VAR_DECAY;
                 self.cla_inc /= 0.999;
                 continue;
             }
             if conflicts_here >= budget {
                 return None; // restart
             }
-            if self.config.lbd_reduction {
-                if self.stats.conflicts >= self.next_reduce {
-                    self.reduce_db_lbd();
-                    self.reduce_count += 1;
-                    self.next_reduce = self.stats.conflicts
-                        + REDUCE_BASE
-                        + REDUCE_INTERVAL_GROWTH * self.reduce_count;
-                }
-            } else if self.learnt_refs.len() as f64 > self.max_learnts + self.trail.len() as f64 {
-                self.reduce_db();
-                self.max_learnts *= 1.1;
+            if self.stats.conflicts >= self.next_reduce {
+                self.reduce_db_lbd();
+                self.reduce_count += 1;
+                self.next_reduce =
+                    self.stats.conflicts + REDUCE_BASE + REDUCE_INTERVAL_GROWTH * self.reduce_count;
             }
             // Place assumptions as pseudo-decisions first.
             let mut next_decision: Option<Lit> = None;
@@ -1451,207 +1196,6 @@ impl Solver {
     pub fn retire_group(&mut self, act: Lit) -> bool {
         self.add_clause([!act])
     }
-
-    // ---- Portfolio -------------------------------------------------------
-
-    /// Races `config.portfolio` diversified clones of this solver on the
-    /// current clause set. First decisive answer wins; the winner's entire
-    /// state (learnt clauses, model/core, stats) is adopted back into
-    /// `self`. Learnt clauses are consequences of the clause database alone
-    /// (assumptions enter them as ordinary literals), so sharing and
-    /// adoption never change satisfiability.
-    fn solve_portfolio(&mut self, assumptions: &[Lit], max_conflicts: u64) -> Option<SolveResult> {
-        // Decide trivial queries without fanning out, mirroring the
-        // sequential prologue.
-        self.assumptions = assumptions.to_vec();
-        self.core.clear();
-        self.interrupt = None;
-        self.backtrack_to(0);
-        if !self.ok {
-            return Some(SolveResult::Unsat);
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            return Some(SolveResult::Unsat);
-        }
-        let workers = self.config.portfolio.min(MAX_PORTFOLIO_WORKERS);
-        let stop = Arc::new(AtomicBool::new(false));
-        let pool: SharePool = Arc::new(Mutex::new(Vec::new()));
-        let winner: WinnerSlot = Mutex::new(None);
-        let mut solvers = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let mut w = self.clone();
-            w.config.portfolio = 0;
-            w.stop = Some(stop.clone());
-            w.share = Some(ShareLink {
-                pool: pool.clone(),
-                cursor: 0,
-            });
-            w.diversify(i);
-            solvers.push(w);
-        }
-        let assumptions = &self.assumptions;
-        std::thread::scope(|scope| {
-            for (i, mut w) in solvers.into_iter().enumerate() {
-                let winner = &winner;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let result = w.solve_budgeted_seq(assumptions, max_conflicts);
-                    let mut slot = winner.lock().expect("winner slot lock");
-                    let better =
-                        matches!((&*slot, &result), (None, _) | (Some((_, _, None)), Some(_)));
-                    if better {
-                        if result.is_some() {
-                            // Decisive: tell the other workers to stop. Set
-                            // inside the lock so no later decisive worker can
-                            // be displaced by an indecisive one.
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        *slot = Some((i, Box::new(w), result));
-                    }
-                });
-            }
-        });
-        let (idx, w, result) = winner
-            .into_inner()
-            .expect("winner slot poisoned")
-            .expect("every worker reports to the winner slot");
-        let races = self.stats.portfolio_races + 1;
-        let wins = self.stats.portfolio_winner + u64::from(result.is_some() && idx > 0);
-        let config = self.config;
-        *self = *w;
-        self.config = config;
-        self.stop = None;
-        self.share = None;
-        self.stats.portfolio_races = races;
-        self.stats.portfolio_winner = wins;
-        result
-    }
-
-    /// Differentiates portfolio worker `i`'s search trajectory. Worker 0
-    /// mirrors the sequential configuration so the race can only improve on
-    /// it; the others vary restart cadence, activity decay, backtracking,
-    /// reduction policy, and (unpinned) starting phases.
-    fn diversify(&mut self, worker: usize) {
-        if worker == 0 {
-            return;
-        }
-        let mut flip_phases = false;
-        match worker % 4 {
-            1 => {
-                self.config.restart_unit = self.config.restart_unit.saturating_mul(4);
-                self.config.var_decay = 0.99;
-            }
-            2 => {
-                self.config.restart_unit = (self.config.restart_unit / 2).max(10);
-                self.config.var_decay = 0.85;
-                flip_phases = true;
-            }
-            3 => {
-                self.config.chrono_backtrack = !self.config.chrono_backtrack;
-                self.config.var_decay = 0.75;
-            }
-            _ => {
-                self.config.lbd_reduction = !self.config.lbd_reduction;
-                self.config.restart_unit = self.config.restart_unit.saturating_mul(8);
-                flip_phases = true;
-            }
-        }
-        if worker >= 4 {
-            self.config.chrono_threshold = 20 + 10 * worker as u32;
-        }
-        if flip_phases {
-            self.flip_unpinned_phases();
-        }
-    }
-
-    fn flip_unpinned_phases(&mut self) {
-        for (i, p) in self.polarity.iter_mut().enumerate() {
-            if !self.phase_pinned[i] {
-                *p = !*p;
-            }
-        }
-    }
-
-    /// At a restart boundary (decision level 0): pushes fresh glue clauses
-    /// to the share pool and imports everything siblings published since the
-    /// last exchange. No-op outside portfolio races.
-    fn exchange_shared_clauses(&mut self) {
-        let Some(mut link) = self.share.take() else {
-            return;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut outgoing: Vec<(u32, Vec<Lit>)> = Vec::new();
-        for &r in &self.learnt_refs {
-            if outgoing.len() >= SHARE_EXPORT_PER_ROUND {
-                break;
-            }
-            if self.arena.is_deleted(r) || !self.arena.is_learnt(r) || self.arena.is_exported(r) {
-                continue;
-            }
-            let len = self.arena.len(r);
-            let lbd = self.arena.lbd(r);
-            if len <= SHARE_MAX_LEN || lbd <= SHARE_MAX_LBD {
-                let lits: Vec<Lit> = (0..len).map(|k| self.arena.lit(r, k)).collect();
-                outgoing.push((lbd, lits));
-                self.arena.set_exported(r);
-            }
-        }
-        let mut incoming: Vec<(u32, Vec<Lit>)> = Vec::new();
-        {
-            let mut pool = link.pool.lock().expect("share pool lock");
-            // Import first, then publish, so a worker never re-imports its
-            // own exports.
-            if link.cursor < pool.len() {
-                incoming.extend_from_slice(&pool[link.cursor..]);
-            }
-            if !outgoing.is_empty() && pool.len() < SHARE_POOL_CAP {
-                let room = SHARE_POOL_CAP - pool.len();
-                pool.extend(outgoing.into_iter().take(room));
-            }
-            link.cursor = pool.len();
-        }
-        self.share = Some(link);
-        for (lbd, lits) in incoming {
-            if !self.ok {
-                break;
-            }
-            self.import_learnt(&lits, lbd);
-        }
-    }
-
-    /// Installs a clause received from a portfolio sibling. The clause is a
-    /// consequence of the shared problem clauses, so it is attached as a
-    /// learnt clause (already marked exported) without touching the problem
-    /// counters.
-    fn import_learnt(&mut self, lits: &[Lit], lbd: u32) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort();
-        lits.dedup();
-        let mut simplified = Vec::with_capacity(lits.len());
-        for &l in &lits {
-            if l.var().index() >= self.num_vars() {
-                return; // foreign variable: cannot happen within one race
-            }
-            match self.value(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False => {}     // drop
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => self.ok = false,
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                self.ok = self.propagate().is_none();
-            }
-            _ => {
-                let cref = self.attach_clause(&simplified, true, lbd);
-                self.arena.set_exported(cref);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1700,34 +1244,6 @@ mod tests {
         s.set_deadline(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert_eq!(s.last_interrupt(), None);
-    }
-
-    #[test]
-    fn learnt_cap_scales_with_problem_size() {
-        let build = || {
-            let mut s = Solver::new();
-            let mut prev = s.new_var();
-            // 6000 distinct implication clauses: a satisfiable problem big
-            // enough that `problem_clauses / 3` exceeds the fixed cap.
-            for _ in 0..6000 {
-                let v = s.new_var();
-                s.add_clause([prev.neg(), v.pos()]);
-                prev = v;
-            }
-            s
-        };
-        let mut scaled = build();
-        assert_eq!(scaled.solve(), SolveResult::Sat);
-        assert!(
-            scaled.max_learnts >= (scaled.problem_clauses / 3) as f64,
-            "scaling on: cap {} for {} clauses",
-            scaled.max_learnts,
-            scaled.problem_clauses
-        );
-        let mut fixed = build();
-        fixed.set_learnt_scaling(false);
-        assert_eq!(fixed.solve(), SolveResult::Sat);
-        assert_eq!(fixed.max_learnts, 1000.0, "scaling off keeps the old cap");
     }
 
     #[test]
@@ -1941,66 +1457,77 @@ mod tests {
         assert!(s.stats().conflicts >= conflicts_first);
     }
 
-    // ---- Arena / config-specific tests ----------------------------------
+    // ---- Arena / feature-specific tests ---------------------------------
 
-    /// Every configuration corner must agree on verdicts.
-    fn all_configs() -> Vec<SolverConfig> {
-        let mut configs = vec![SolverConfig::default(), SolverConfig::baseline()];
-        for i in 0..3 {
-            let mut c = SolverConfig::baseline();
-            match i {
-                0 => c.lbd_reduction = true,
-                1 => c.recursive_minimization = true,
-                _ => c.chrono_backtrack = true,
+    /// A solver that backtracks chronologically on every non-unit learnt
+    /// clause: small instances rarely backjump past [`CHRONO_THRESHOLD`]
+    /// levels, so the default threshold leaves that branch untested.
+    fn eager_chrono_solver() -> Solver {
+        let mut s = Solver::new();
+        s.chrono_threshold = 0;
+        s
+    }
+
+    #[test]
+    fn eager_chronological_backtracking_keeps_verdicts_models_and_cores() {
+        // Random 2..4-SAT instances around the satisfiability threshold,
+        // checked against the DPLL reference.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let (mut sat, mut unsat) = (0, 0);
+        for round in 0..60 {
+            let n = 5 + round % 8;
+            let mut cnf = crate::Cnf::new();
+            cnf.ensure_vars(n);
+            for _ in 0..n * 4 + round % 7 {
+                let width = 2 + below(3);
+                let lits: Vec<Lit> = (0..width)
+                    .map(|_| Var(below(n) as u32).lit(below(2) == 0))
+                    .collect();
+                cnf.add_clause(lits);
             }
-            configs.push(c);
+            let mut s = eager_chrono_solver();
+            vars(&mut s, n);
+            for c in cnf.clauses() {
+                s.add_clause(c.iter().copied());
+            }
+            let expected = crate::solve_dpll(&cnf).is_some();
+            match s.solve() {
+                SolveResult::Sat => {
+                    assert!(expected, "round {round}: SAT but DPLL says UNSAT");
+                    let model: Vec<bool> = (0..n)
+                        .map(|i| s.model_value(Var(i as u32)).unwrap())
+                        .collect();
+                    assert!(cnf.eval(&model), "round {round}: model violates the CNF");
+                    sat += 1;
+                }
+                SolveResult::Unsat => {
+                    assert!(!expected, "round {round}: UNSAT but DPLL says SAT");
+                    unsat += 1;
+                }
+            }
         }
-        configs.push(SolverConfig {
-            chrono_threshold: 0,
-            ..SolverConfig::default()
-        });
-        configs
+        assert!(
+            sat > 0 && unsat > 0,
+            "corpus lacks a verdict: {sat} sat, {unsat} unsat"
+        );
+
+        // The failed-assumption core stays free of irrelevant assumptions.
+        let mut s = eager_chrono_solver();
+        pigeonhole(&mut s, 5);
+        let extra = s.new_var();
+        assert_eq!(s.solve_with_assumptions(&[extra.pos()]), SolveResult::Unsat);
+        assert!(s.stats().conflicts > 0, "pigeonhole needs search");
+        assert!(
+            !s.unsat_core().contains(&extra.pos()),
+            "irrelevant assumption in core"
+        );
     }
-
-    #[test]
-    fn feature_toggles_preserve_verdicts() {
-        for config in all_configs() {
-            let mut s = Solver::with_config(config);
-            pigeonhole(&mut s, 6);
-            assert_eq!(s.solve(), SolveResult::Unsat, "config {config:?}");
-
-            let mut s = Solver::with_config(config);
-            let v = vars(&mut s, 4);
-            s.add_clause([v[0].pos(), v[1].pos()]);
-            s.add_clause([v[0].neg(), v[2].pos()]);
-            s.add_clause([v[2].neg(), v[3].pos()]);
-            assert_eq!(s.solve(), SolveResult::Sat, "config {config:?}");
-            // The reported model must satisfy every clause.
-            let val = |l: Lit| s.model_value(l.var()).unwrap() == l.is_pos();
-            assert!(val(v[0].pos()) || val(v[1].pos()));
-            assert!(val(v[0].neg()) || val(v[2].pos()));
-            assert!(val(v[2].neg()) || val(v[3].pos()));
-        }
-    }
-
-    #[test]
-    fn feature_toggles_preserve_assumption_cores() {
-        for config in all_configs() {
-            let mut s = Solver::with_config(config);
-            pigeonhole(&mut s, 5);
-            let extra = s.new_var();
-            assert_eq!(
-                s.solve_with_assumptions(&[extra.pos()]),
-                SolveResult::Unsat,
-                "config {config:?}"
-            );
-            assert!(
-                !s.unsat_core().contains(&extra.pos()),
-                "irrelevant assumption in core under {config:?}"
-            );
-        }
-    }
-
     #[test]
     fn lbd_reduction_fires_and_keeps_verdicts() {
         let mut s = Solver::new();
@@ -2044,104 +1571,5 @@ mod tests {
             "recursive minimization never removed a literal: {:?}",
             s.stats()
         );
-    }
-
-    #[test]
-    fn portfolio_matches_sequential_verdicts() {
-        let build_unsat = |portfolio: usize| {
-            let mut s = Solver::new();
-            s.set_portfolio(portfolio);
-            pigeonhole(&mut s, 6);
-            s
-        };
-        assert_eq!(build_unsat(0).solve(), SolveResult::Unsat);
-        let mut racing = build_unsat(3);
-        assert_eq!(racing.solve(), SolveResult::Unsat);
-        assert_eq!(racing.stats().portfolio_races, 1);
-
-        let mut s = Solver::new();
-        s.set_portfolio(3);
-        let v = vars(&mut s, 6);
-        let clauses = [
-            [v[0].pos(), v[1].pos()],
-            [v[1].neg(), v[2].pos()],
-            [v[3].pos(), v[4].neg()],
-            [v[4].pos(), v[5].pos()],
-        ];
-        for c in &clauses {
-            s.add_clause(*c);
-        }
-        assert_eq!(s.solve(), SolveResult::Sat);
-        for c in &clauses {
-            assert!(
-                c.iter()
-                    .any(|l| s.model_value(l.var()).unwrap() == l.is_pos()),
-                "model violates {c:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn portfolio_cores_remain_valid() {
-        let mut s = Solver::new();
-        s.set_portfolio(4);
-        let v = vars(&mut s, 4);
-        s.add_clause([v[0].neg(), v[1].neg()]);
-        let assumptions = [v[2].pos(), v[0].pos(), v[3].pos(), v[1].pos()];
-        assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Unsat);
-        let core = s.unsat_core().to_vec();
-        assert!(!core.is_empty());
-        for l in &core {
-            assert!(assumptions.contains(l), "core lit {l} not assumed");
-        }
-        assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat);
-        // The adopted winner stays usable for further incremental queries.
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn portfolio_keeps_configured_fanout_across_calls() {
-        // Guard the pigeonhole behind an activation literal so UNSAT answers
-        // don't poison the solver (`ok` stays true) and every call races.
-        let mut s = Solver::new();
-        s.set_portfolio(2);
-        let g = s.new_activation();
-        let n = 5;
-        let p: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..n - 1).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &p {
-            s.add_clause_in_group(g, row.iter().map(|v| v.pos()));
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for (pa, pb) in p[a].iter().zip(&p[b]) {
-                    s.add_clause([pa.neg(), pb.neg()]);
-                }
-            }
-        }
-        assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Unsat);
-        // Adoption must restore the caller-facing configuration (portfolio
-        // fan-out included), not the worker's zeroed copy.
-        assert_eq!(s.config().portfolio, 2);
-        assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Unsat);
-        assert_eq!(s.stats().portfolio_races, 2);
-    }
-
-    #[test]
-    fn portfolio_respects_conflict_budget() {
-        let mut s = Solver::new();
-        s.set_portfolio(2);
-        pigeonhole(&mut s, 8);
-        assert_eq!(s.solve_budgeted(&[], 1), None);
-        assert!(matches!(
-            s.last_interrupt(),
-            Some(Interrupt::Conflicts | Interrupt::Deadline)
-        ));
-        // Still answers decisively afterwards.
-        let mut easy = Solver::new();
-        easy.set_portfolio(2);
-        pigeonhole(&mut easy, 5);
-        assert_eq!(easy.solve(), SolveResult::Unsat);
     }
 }

@@ -5,15 +5,12 @@
 //! so the corpus doubles as an interop check, then solved by:
 //!
 //! * the legacy solver (`ivy_sat::legacy::Solver`),
-//! * the arena solver under every `SolverConfig` corner,
-//! * the arena solver in portfolio mode,
+//! * the arena solver,
 //! * the DPLL reference oracle (on the smaller instances).
 //!
 //! Verdicts must agree everywhere; SAT models are checked against the CNF.
 
-use ivy_sat::{
-    legacy, parse_dimacs, solve_dpll, write_dimacs, Cnf, SolveResult, Solver, SolverConfig,
-};
+use ivy_sat::{legacy, parse_dimacs, solve_dpll, write_dimacs, Cnf, SolveResult, Solver};
 
 /// Deterministic LCG (same multiplier as the bench suite's generator).
 struct Rng(u64);
@@ -56,29 +53,8 @@ fn random_cnf(vars: usize, clauses: usize, seed: u64) -> Cnf {
     cnf
 }
 
-fn configs() -> Vec<(&'static str, SolverConfig)> {
-    let mut lbd_only = SolverConfig::baseline();
-    lbd_only.lbd_reduction = true;
-    let mut min_only = SolverConfig::baseline();
-    min_only.recursive_minimization = true;
-    let mut chrono_only = SolverConfig::baseline();
-    chrono_only.chrono_backtrack = true;
-    let chrono_eager = SolverConfig {
-        chrono_threshold: 0,
-        ..SolverConfig::default()
-    };
-    vec![
-        ("default", SolverConfig::default()),
-        ("baseline", SolverConfig::baseline()),
-        ("lbd_only", lbd_only),
-        ("min_only", min_only),
-        ("chrono_only", chrono_only),
-        ("chrono_eager", chrono_eager),
-    ]
-}
-
-fn arena_solver(cnf: &Cnf, config: SolverConfig) -> Solver {
-    let mut s = Solver::with_config(config);
+fn arena_solver(cnf: &Cnf) -> Solver {
+    let mut s = Solver::new();
     for _ in 0..cnf.num_vars() {
         s.new_var();
     }
@@ -117,30 +93,18 @@ fn check_instance(cnf: &Cnf, label: &str, with_dpll: bool) {
         };
         assert_eq!(dpll, expected, "{label}: dpll disagrees with legacy");
     }
-    for (name, config) in configs() {
-        let mut s = arena_solver(&cnf, config);
-        let got = s.solve();
-        assert_eq!(
-            got, expected,
-            "{label}: arena[{name}] disagrees with legacy"
+    let mut s = arena_solver(&cnf);
+    let got = s.solve();
+    assert_eq!(got, expected, "{label}: arena disagrees with legacy");
+    if got == SolveResult::Sat {
+        let assignment: Vec<bool> = (0..cnf.num_vars())
+            .map(|i| s.model_value(ivy_sat::Var(i as u32)).unwrap())
+            .collect();
+        assert!(
+            cnf.eval(&assignment),
+            "{label}: arena model violates the CNF"
         );
-        if got == SolveResult::Sat {
-            let assignment: Vec<bool> = (0..cnf.num_vars())
-                .map(|i| s.model_value(ivy_sat::Var(i as u32)).unwrap())
-                .collect();
-            assert!(
-                cnf.eval(&assignment),
-                "{label}: arena[{name}] model violates the CNF"
-            );
-        }
     }
-    let mut racing = arena_solver(&cnf, SolverConfig::default());
-    racing.set_portfolio(3);
-    assert_eq!(
-        racing.solve(),
-        expected,
-        "{label}: portfolio disagrees with legacy"
-    );
 }
 
 #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ivy_core::{
     enumerate_candidates, houdini_with_oracle, infer, trace_to_text, AutoGen, Bmc, Conjecture,
-    Generalizer, Inductiveness, InferOptions, Measure, Oracle, QueryStrategy, Verifier,
+    Generalizer, Inductiveness, InferOptions, Measure, Oracle, Verifier,
 };
 use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::{parse_formula, PartialStructure};
@@ -59,8 +59,6 @@ pub struct ServeConfig {
     /// `oversized` error and the connection is closed (a partially read
     /// line cannot be resynchronized).
     pub max_line_bytes: usize,
-    /// Query strategy of the shared oracle.
-    pub strategy: QueryStrategy,
     /// Session-pool capacity of the shared oracle (see
     /// [`Oracle::set_pool_capacity`]); sized for `workers` concurrent
     /// tenants re-visiting a handful of hot frames each.
@@ -81,7 +79,6 @@ impl Default for ServeConfig {
             instance_cap: None,
             default_bound: None,
             max_line_bytes: 8 << 20,
-            strategy: QueryStrategy::Session,
             pool_capacity: (workers * 24).max(64),
         }
     }
@@ -214,11 +211,11 @@ impl Listener {
 }
 
 impl Server {
-    /// A server with the given tuning; the shared oracle adopts the
-    /// config's strategy and pool capacity.
+    /// A server with the given tuning; the shared oracle pools sessions
+    /// ([`ivy_core::QueryStrategy::Session`]) up to the config's pool
+    /// capacity.
     pub fn new(config: ServeConfig) -> Server {
-        let mut oracle = Oracle::new();
-        oracle.set_strategy(config.strategy);
+        let oracle = Oracle::new();
         oracle.set_pool_capacity(config.pool_capacity);
         Server {
             gate: Gate::new(config.workers, config.queue),

@@ -108,23 +108,14 @@ fn kinv_detects_violations() {
 }
 
 #[test]
-fn strategy_and_jobs_flags_select_the_oracle_strategy() {
+fn strategy_flag_selects_the_oracle_strategy() {
     let model = write_temp("s.rml", MODEL);
     let inv = write_temp("s.inv", INVARIANT);
     let model = model.to_str().unwrap();
     let inv = inv.to_str().unwrap();
 
     // Every strategy proves the same invariant.
-    for extra in [
-        &["--strategy", "fresh"][..],
-        &["--strategy", "session"],
-        &["--strategy", "parallel"],
-        &["--strategy", "parallel", "--jobs", "2"],
-        &["--strategy", "portfolio"],
-        &["--strategy", "portfolio", "--jobs", "2"],
-        // --jobs alone implies the parallel strategy.
-        &["--jobs", "2"],
-    ] {
+    for extra in [&["--strategy", "fresh"][..], &["--strategy", "session"]] {
         let mut args = vec!["prove", model, inv];
         args.extend_from_slice(extra);
         let (code, text) = ivy_code(&args);
@@ -138,19 +129,21 @@ fn strategy_and_jobs_flags_select_the_oracle_strategy() {
 }
 
 #[test]
-fn bad_strategy_or_jobs_is_a_usage_error() {
+fn bad_strategy_or_unknown_flag_is_a_usage_error() {
     let model = write_temp("u.rml", MODEL);
     let model = model.to_str().unwrap();
     for args in [
+        // Only `fresh` and `session` name a strategy.
         &["prove", model, "--strategy", "turbo"][..],
-        &["prove", model, "--jobs", "0"],
-        &["prove", model, "--jobs", "many"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "0"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "-3"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "many"],
-        // --jobs contradicts a sequential strategy.
-        &["prove", model, "--strategy", "fresh", "--jobs", "2"],
+        &["prove", model, "--strategy", "parallel"],
+        &["prove", model, "--strategy", "portfolio"],
+        // A flag the command does not define is refused, not ignored.
+        &["prove", model, "--jobs", "2"],
         &["prove", model, "--strategy", "session", "--jobs", "2"],
+        &["prove", model, "--bogus", "7"],
+        &["bmc", model, "--vars", "1"],
+        // The server always pools sessions.
+        &["serve", "--strategy", "fresh", "--listen", "127.0.0.1:0"],
     ] {
         let (code, text) = ivy_code(args);
         assert_eq!(code, 2, "{args:?}: {text}");
@@ -220,13 +213,15 @@ fn repeated_or_valueless_flags_are_usage_errors() {
             "--strategy",
             "fresh",
         ],
-        &["prove", model, "--jobs", "2", "--jobs", "4"],
         // A repeated subcommand flag is just as ambiguous.
         &["bmc", model, "-k", "2", "-k", "3"],
         &["houdini", model, "--vars", "1", "--vars", "2"],
-        // A flag with no value must not be reparsed as a positional arg.
+        // A flag with no value must not be reparsed as a positional arg,
+        // nor fall back to its default.
         &["prove", model, "--timeout"],
         &["prove", model, "--strategy"],
+        &["bmc", model, "-k"],
+        &["houdini", model, "--vars", "1", "--lits"],
     ] {
         let (code, text) = ivy_code(args);
         assert_eq!(code, 2, "{args:?}: {text}");

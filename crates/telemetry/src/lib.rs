@@ -5,7 +5,7 @@
 //! * **Timing spans and counters** — [`Span::enter`] measures a phase
 //!   (`"wp"`, `"ground"`, `"sat"`, ...) on the monotonic clock and folds
 //!   the elapsed time into a process-global, thread-safe registry, so
-//!   the parallel query fan-out aggregates correctly. Recording is off
+//!   concurrent server workers aggregate correctly. Recording is off
 //!   by default and gated by a single atomic load, so the instrumented
 //!   hot paths pay one branch when profiling is disabled.
 //!
@@ -552,9 +552,8 @@ pub struct LocalRollupScope {
 /// This is how a server attributes solver work to one request without
 /// touching the process-global registry: the request handler wraps the
 /// engine call in a scope and embeds the finished rollup in the response.
-/// Work an engine fans out to *other* threads (the parallel query
-/// strategy) is not captured; the session-backed strategies — the ones a
-/// server shares — run on the calling thread and are.
+/// Every query strategy runs on the calling thread, so all of an engine's
+/// work is captured.
 pub fn local_rollup_begin() -> LocalRollupScope {
     LOCAL_ROLLUPS.with(|s| s.borrow_mut().push(OracleRollup::new()));
     LocalRollupScope {
