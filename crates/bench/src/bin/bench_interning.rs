@@ -1,8 +1,7 @@
-//! Tree-vs-interned ablation: measures wp generation, transition
-//! compilation, and grounding on the six evaluation protocols against the
-//! pre-interning tree-walking baselines, cross-validates that both
-//! pipelines produce identical outputs, and writes the medians to
-//! `BENCH_interning.json`.
+//! Tree-vs-interned ablation: measures wp generation and transition
+//! compilation on the six evaluation protocols against the pre-interning
+//! tree-walking baselines, cross-validates that both pipelines produce
+//! identical outputs, and writes the medians to `BENCH_interning.json`.
 //!
 //! Usage: `cargo run --release -p ivy-bench --bin bench_interning`
 
@@ -10,12 +9,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use ivy_bench::harness::measure;
-use ivy_bench::reference::{
-    ground_tree, rename_symbols_tree, unroll_free_tree, wp_tree, GroundSizes,
-};
-use ivy_epr::EprCheck;
-use ivy_fol::intern::{self, Interner};
-use ivy_fol::Formula;
+use ivy_bench::reference::{unroll_free_tree, wp_tree};
+use ivy_fol::intern;
 use ivy_rml::{unroll_free, wp_id, Program};
 
 const SAMPLES: usize = 15;
@@ -23,42 +18,34 @@ const SAMPLES: usize = 15;
 struct Case {
     key: &'static str,
     program: Program,
-    invariant: Formula,
 }
 
 fn cases() -> Vec<Case> {
     use ivy_protocols as p;
-    let inv = |cs: Vec<ivy_core::Conjecture>| Formula::and(cs.into_iter().map(|c| c.formula));
     vec![
         Case {
             key: "leader",
             program: p::leader::program(),
-            invariant: inv(p::leader::invariant()),
         },
         Case {
             key: "lock_server",
             program: p::lock_server::program(),
-            invariant: inv(p::lock_server::invariant()),
         },
         Case {
             key: "distributed_lock",
             program: p::distributed_lock::program(),
-            invariant: inv(p::distributed_lock::invariant()),
         },
         Case {
             key: "learning_switch",
             program: p::learning_switch::program(),
-            invariant: inv(p::learning_switch::invariant()),
         },
         Case {
             key: "db_chain",
             program: p::db_chain::program(),
-            invariant: inv(p::db_chain::invariant()),
         },
         Case {
             key: "chord",
             program: p::chord::program(),
-            invariant: inv(p::chord::invariant()),
         },
     ]
 }
@@ -149,59 +136,6 @@ fn bench_transition(case: &Case) -> Pair {
     }
 }
 
-/// Grounding (split, Skolemize, instantiate, Tseitin-encode — no SAT solve)
-/// of the protocol's consecution query, both pipelines; asserts identical
-/// universe and instantiation counts.
-fn bench_grounding(case: &Case) -> Pair {
-    let p = &case.program;
-    let inv = &case.invariant;
-    // Tree side: tree unrolling, tree renames, tree grounding.
-    let t = unroll_free_tree(p, 1);
-    let tree_assertions: Vec<(String, Formula)> = vec![
-        ("base".into(), t.base.clone()),
-        ("inv".into(), rename_symbols_tree(inv, &t.maps[0])),
-        ("step".into(), t.steps[0].clone()),
-        (
-            "neg".into(),
-            Formula::not(rename_symbols_tree(inv, &t.maps[1])),
-        ),
-    ];
-    let tree_sizes: GroundSizes = ground_tree(&t.sig, &tree_assertions);
-    // Interned side: interned unrolling, memoized renames, template replay.
-    let u = unroll_free(p, 1);
-    let (inv0, neg1) = Interner::with(|it| {
-        let i = it.intern(inv);
-        let i0 = it.rename_symbols(i, &u.maps[0]);
-        let i1 = it.rename_symbols(i, &u.maps[1]);
-        (i0, it.not(i1))
-    });
-    let ground_interned = || {
-        let mut q = EprCheck::new(&u.sig).unwrap();
-        q.assert_id("base", u.base).unwrap();
-        q.assert_id("inv", inv0).unwrap();
-        q.assert_id("step", u.steps[0]).unwrap();
-        q.assert_id("neg", neg1).unwrap();
-        q.ground_only().unwrap()
-    };
-    let stats = ground_interned();
-    assert_eq!(
-        (tree_sizes.universe, tree_sizes.instances),
-        (stats.universe, stats.instances),
-        "{}: grounding sizes diverged",
-        case.key
-    );
-    let tree = measure(SAMPLES, || {
-        std::hint::black_box(ground_tree(&t.sig, &tree_assertions));
-    });
-    let interned = measure(SAMPLES, || {
-        std::hint::black_box(ground_interned());
-    });
-    Pair {
-        tree: tree.median,
-        interned: interned.median,
-    }
-}
-
 fn main() {
     let mut json = String::from("{\n  \"samples\": ");
     let _ = write!(json, "{SAMPLES},\n  \"protocols\": {{\n");
@@ -222,15 +156,8 @@ fn main() {
             tr.interned,
             tr.speedup()
         );
-        let gr = bench_grounding(case);
-        eprintln!(
-            "  grounding:  tree {:?}  interned {:?}  ({:.2}x)",
-            gr.tree,
-            gr.interned,
-            gr.speedup()
-        );
         let _ = writeln!(json, "    \"{}\": {{", case.key);
-        for (name, pair) in [("wp", &wp), ("transition", &tr), ("grounding", &gr)] {
+        for (name, pair) in [("wp", &wp), ("transition", &tr)] {
             let _ = write!(
                 json,
                 "      \"{name}\": {{\"tree_median_us\": {:.1}, \"interned_median_us\": {:.1}, \"speedup\": {:.2}}}",
@@ -238,7 +165,7 @@ fn main() {
                 pair.interned.as_secs_f64() * 1e6,
                 pair.speedup()
             );
-            json.push_str(if name == "grounding" { "\n" } else { ",\n" });
+            json.push_str(if name == "transition" { "\n" } else { ",\n" });
         }
         json.push_str(if ci + 1 == all.len() {
             "    }\n"

@@ -1,20 +1,17 @@
 //! Pre-interning tree-walking baselines for the `bench_interning` ablation.
 //!
 //! These are faithful copies of the formula-tree implementations that
-//! `ivy-rml` and `ivy-epr` shipped before the hash-consed IR landed: `wp`
-//! over `subst::reference`, the guarded-path transition compiler over tree
-//! renames, and the grounding pipeline over per-tuple tree Tseitin encoding.
-//! They exist so the benchmark compares the interned pipeline against the
-//! real historical baseline rather than against itself through the
-//! delegating tree APIs (which now route through the interner).
+//! `ivy-rml` shipped before the hash-consed IR landed: `wp` over
+//! `subst::reference` and the guarded-path transition compiler over tree
+//! renames. They exist so the benchmark compares the interned pipeline
+//! against the real historical baseline rather than against itself through
+//! the delegating tree APIs (which now route through the interner).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ivy_epr::{ensure_inhabited, Encoder, TermTable};
 use ivy_fol::subst::reference::{rewrite_function, rewrite_relation, subst_constant};
 use ivy_fol::subst::{all_var_names, fresh_name};
-use ivy_fol::xform::Block;
-use ivy_fol::{eliminate_ite, nnf, skolemize, Binding, Formula, Signature, Sort, Sym, Term};
+use ivy_fol::{Binding, Formula, Signature, Sort, Sym, Term};
 use ivy_rml::{paths, update_params, Cmd, Path, Program, SymMap};
 
 /// Computes `wp(cmd, post)` exactly as the pre-interning implementation did:
@@ -448,198 +445,5 @@ impl Ctx {
             }
         }
         Formula::and(parts)
-    }
-}
-
-/// Size metrics of one grounding run, for cross-validating the tree and
-/// interned pipelines against each other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroundSizes {
-    /// Ground terms in the universe.
-    pub universe: usize,
-    /// Universal instantiations performed.
-    pub instances: u64,
-}
-
-/// Runs the pre-interning grounding pipeline (tree split, tree Skolemize,
-/// per-tuple tree Tseitin encoding) on labeled tree assertions, stopping
-/// before the SAT solve — the tree counterpart of
-/// [`ivy_epr::EprCheck::ground_only`].
-///
-/// # Panics
-///
-/// Panics when an assertion leaves `∃*∀*` (the benchmark inputs are all
-/// valid EPR queries).
-pub fn ground_tree(sig: &Signature, assertions: &[(String, Formula)]) -> GroundSizes {
-    let mut work_sig = sig.clone();
-    let mut guard_counter = 0usize;
-    let mut ground_jobs: Vec<Vec<(Vec<Binding>, Formula)>> = Vec::new();
-    for (_, f) in assertions {
-        let f = eliminate_ite(f);
-        let mut pieces = Vec::new();
-        split_tree(
-            &nnf(&f),
-            Vec::new(),
-            &mut work_sig,
-            &mut guard_counter,
-            &mut pieces,
-        );
-        let mut jobs = Vec::new();
-        for piece in pieces {
-            let sk = skolemize(&piece, &mut work_sig).expect("benchmark queries stay in EPR");
-            let bindings: Vec<Binding> = sk
-                .universal
-                .prefix
-                .iter()
-                .flat_map(|b| match b {
-                    Block::Forall(bs) => bs.clone(),
-                    Block::Exists(_) => unreachable!("skolemize leaves only universals"),
-                })
-                .collect();
-            for conjunct in sk.universal.matrix.conjuncts() {
-                let fv = conjunct.free_vars();
-                let needed: Vec<Binding> = bindings
-                    .iter()
-                    .filter(|b| fv.contains(&b.var))
-                    .cloned()
-                    .collect();
-                jobs.push((needed, conjunct.clone()));
-            }
-        }
-        ground_jobs.push(jobs);
-    }
-    ensure_inhabited(&mut work_sig);
-    let table = TermTable::build(&work_sig);
-    let mut instances: u64 = 0;
-    for jobs in &ground_jobs {
-        for (bindings, _) in jobs {
-            let mut count: u64 = 1;
-            for b in bindings {
-                count = count.saturating_mul(table.of_sort(&b.sort).len() as u64);
-            }
-            instances = instances.saturating_add(count);
-        }
-    }
-    let universe = table.len();
-    let mut enc = Encoder::new(table);
-    for jobs in &ground_jobs {
-        let guard = enc.fresh_var().pos();
-        for (bindings, matrix) in jobs {
-            instantiate_tree(&mut enc, guard, bindings, matrix);
-        }
-    }
-    GroundSizes {
-        universe,
-        instances,
-    }
-}
-
-fn instantiate_tree(
-    enc: &mut Encoder,
-    guard: ivy_sat::Lit,
-    bindings: &[Binding],
-    matrix: &Formula,
-) {
-    fn go(
-        enc: &mut Encoder,
-        guard: ivy_sat::Lit,
-        bindings: &[Binding],
-        matrix: &Formula,
-        env: &mut Vec<(Sym, usize)>,
-    ) {
-        if env.len() == bindings.len() {
-            let root = enc.encode(matrix, env);
-            enc.add_clause([!guard, root]);
-            return;
-        }
-        let b = &bindings[env.len()];
-        let candidates: Vec<usize> = enc.table().of_sort(&b.sort).to_vec();
-        for t in candidates {
-            env.push((b.var, t));
-            go(enc, guard, bindings, matrix, env);
-            env.pop();
-        }
-    }
-    go(enc, guard, bindings, matrix, &mut Vec::new());
-}
-
-/// The pre-interning definitional splitting over formula trees.
-fn split_tree(
-    f: &Formula,
-    guard: Vec<Formula>,
-    sig: &mut Signature,
-    counter: &mut usize,
-    out: &mut Vec<Formula>,
-) {
-    match f {
-        Formula::And(fs) => {
-            for g in fs {
-                split_tree(g, guard.clone(), sig, counter, out);
-            }
-        }
-        Formula::Forall(bs, body) => {
-            if let Formula::And(cs) = body.as_ref() {
-                for c in cs {
-                    let fv = c.free_vars();
-                    let needed: Vec<Binding> =
-                        bs.iter().filter(|b| fv.contains(&b.var)).cloned().collect();
-                    split_tree(
-                        &Formula::forall(needed, c.clone()),
-                        guard.clone(),
-                        sig,
-                        counter,
-                        out,
-                    );
-                }
-            } else {
-                emit_piece_tree(f.clone(), guard, out);
-            }
-        }
-        Formula::Or(fs) => {
-            let complex = |g: &Formula| {
-                matches!(
-                    g,
-                    Formula::And(_) | Formula::Forall(..) | Formula::Exists(..) | Formula::Or(_)
-                )
-            };
-            if fs.iter().filter(|g| complex(g)).count() <= 1 {
-                emit_piece_tree(f.clone(), guard, out);
-                return;
-            }
-            let mut disjuncts = Vec::with_capacity(fs.len());
-            for g in fs {
-                if complex(g) {
-                    let name = loop {
-                        let candidate = Sym::new(format!("split__{counter}"));
-                        *counter += 1;
-                        if sig.relation(&candidate).is_none() && sig.function(&candidate).is_none()
-                        {
-                            break candidate;
-                        }
-                    };
-                    sig.add_relation(name, Vec::<Sort>::new())
-                        .expect("fresh guard name");
-                    let guard_atom = Formula::rel(name, Vec::<Term>::new());
-                    disjuncts.push(guard_atom.clone());
-                    let mut inner_guard = guard.clone();
-                    inner_guard.push(Formula::not(guard_atom));
-                    split_tree(g, inner_guard, sig, counter, out);
-                } else {
-                    disjuncts.push(g.clone());
-                }
-            }
-            emit_piece_tree(Formula::or(disjuncts), guard, out);
-        }
-        _ => emit_piece_tree(f.clone(), guard, out),
-    }
-}
-
-fn emit_piece_tree(f: Formula, guard: Vec<Formula>, out: &mut Vec<Formula>) {
-    if guard.is_empty() {
-        out.push(f);
-    } else {
-        let mut parts = guard;
-        parts.push(f);
-        out.push(Formula::or(parts));
     }
 }

@@ -69,7 +69,7 @@ impl<'p> Bmc<'p> {
     }
 
     /// Caps grounding size per query (see
-    /// [`ivy_epr::EprCheck::set_instance_limit`]). In incremental mode the
+    /// [`ivy_epr::EprSession::set_instance_limit`]). In incremental mode the
     /// budget is cumulative per pooled session: it covers the unrolling's
     /// base, every step grounded so far, and the violations of every scan
     /// the session served (an exhausted recycled session is rebuilt

@@ -18,6 +18,11 @@
 //!   querying the same frame — even different engines, at different times —
 //!   reuse one grounding instead of re-grounding it per query family.
 //!
+//! Every query, under either strategy, is a [`FrameSession`] goal on an
+//! [`EprSession`]. [`QueryStrategy::Session`] checks sessions out of the
+//! pool and back in; [`QueryStrategy::Fresh`] grounds a new session for
+//! each query, uses it once and drops it, never touching the pool.
+//!
 //! # Cache invalidation rules
 //!
 //! A pooled session is keyed by its frame's fingerprint: the signature
@@ -61,8 +66,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use ivy_epr::{
-    frame_fingerprint, frame_fingerprint_with_mode, Budget, EprCheck, EprError, EprOutcome,
-    EprSession, GroupId, InstantiationMode, Model, DEFAULT_INSTANCE_LIMIT,
+    frame_fingerprint, Budget, EprError, EprOutcome, EprSession, GroupId, InstantiationMode, Model,
+    DEFAULT_INSTANCE_LIMIT,
 };
 use ivy_fol::intern::FormulaId;
 use ivy_fol::Signature;
@@ -86,8 +91,10 @@ pub(crate) fn sat_model(outcome: EprOutcome) -> Result<Option<Model>, EprError> 
 /// witnessing model may differ, as SAT models are not unique.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum QueryStrategy {
-    /// One fresh [`EprCheck`] per query: the frame is re-grounded and
-    /// re-encoded every time. The reference implementation.
+    /// One new [`EprSession`] per query, never pooled: the frame (and a
+    /// handle's live groups) is re-grounded and re-encoded every time,
+    /// and the session is dropped after its one check. The reference
+    /// implementation.
     Fresh,
     /// Incremental [`EprSession`]s, pooled by frame fingerprint: the frame
     /// is grounded once and each goal runs as an assumption-guarded group
@@ -131,18 +138,13 @@ impl Frame {
         &self.asserts
     }
 
-    /// The frame's content fingerprint (process-local; see
-    /// [`ivy_epr::frame_fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        frame_fingerprint(&self.sig, &self.asserts)
-    }
-
-    /// The fingerprint keyed additionally by an [`InstantiationMode`]:
-    /// bounded and full groundings of the same frame (and bounded
-    /// groundings at different depths) are distinct cache entries, so
-    /// pooled sessions are never shared across modes.
-    pub fn fingerprint_with_mode(&self, mode: InstantiationMode) -> u64 {
-        frame_fingerprint_with_mode(&self.sig, &self.asserts, mode)
+    /// The frame's content fingerprint under an [`InstantiationMode`]
+    /// (process-local; see [`ivy_epr::frame_fingerprint`]): bounded and
+    /// full groundings of the same frame (and bounded groundings at
+    /// different depths) are distinct cache entries, so pooled sessions
+    /// are never shared across modes.
+    pub fn fingerprint(&self, mode: InstantiationMode) -> u64 {
+        frame_fingerprint(&self.sig, &self.asserts, mode)
     }
 }
 
@@ -378,11 +380,7 @@ impl Oracle {
     ///
     /// Propagates [`EprError`].
     pub fn solve(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
-        let result = match self.strategy {
-            QueryStrategy::Session => self.open(frame)?.solve_goal(goal),
-            QueryStrategy::Fresh => self.fresh_goal(frame, goal),
-        };
-        result.map_err(|e| self.soften(e))
+        self.open(frame)?.solve_goal(goal)
     }
 
     /// In bounded mode every resource refusal is best-effort by contract:
@@ -421,26 +419,13 @@ impl Oracle {
         G: Fn(usize) -> Goal,
         W: Fn(usize, &Model) -> T,
     {
-        let result = match self.strategy {
-            QueryStrategy::Session => (|| {
-                let mut h = self.open(frame)?;
-                for i in 0..count {
-                    if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-            QueryStrategy::Fresh => (|| {
-                for i in 0..count {
-                    if let Some(m) = sat_model(self.fresh_goal(frame, &goal(i))?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-        };
-        result.map_err(|e| self.soften(e))
+        let mut h = self.open(frame)?;
+        for i in 0..count {
+            if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
+                return Ok(Some(witness(i, &m)));
+            }
+        }
+        Ok(None)
     }
 
     /// Like [`Oracle::first_sat`], but each query may probe a *different*
@@ -474,8 +459,8 @@ impl Oracle {
     /// caller asserts, toggles, and retires its own groups on top of the
     /// frame (Houdini's hypothesis juggling, minimization's constraint
     /// descent). Under [`QueryStrategy::Fresh`] the handle records groups
-    /// and re-grounds per query; otherwise it holds a live session (pooled
-    /// on drop).
+    /// and grounds a single-use session per query, never touching the pool;
+    /// otherwise it holds a live session (pooled on drop).
     ///
     /// # Errors
     ///
@@ -497,7 +482,7 @@ impl Oracle {
     /// Propagates [`EprError`] from grounding the prefix.
     pub fn open_prefix(&self, frame: &Frame, n: usize) -> Result<FrameSession<'_>, EprError> {
         let n = n.min(frame.asserts().len());
-        let key = frame.fingerprint_with_mode(self.mode);
+        let key = frame.fingerprint(self.mode);
         let live = match self.strategy {
             QueryStrategy::Fresh => None,
             QueryStrategy::Session => {
@@ -530,47 +515,6 @@ impl Oracle {
     /// views).
     pub fn clear_cache(&self) {
         self.shared.pool.lock().unwrap().clear();
-    }
-
-    /// One fresh `EprCheck` for `frame ∧ goal` with the oracle's limits.
-    fn fresh_goal(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
-        let all = frame.asserts().len();
-        self.fresh_outcome(frame, all, &[], goal, self.lazy_round_limit)
-    }
-
-    /// One fresh `EprCheck` over the first `prefix` frame asserts, a
-    /// handle's live groups, and a goal — the re-grounding reference path
-    /// shared by [`QueryStrategy::Fresh`] queries and fresh
-    /// [`FrameSession`] handles.
-    fn fresh_outcome(
-        &self,
-        frame: &Frame,
-        prefix: usize,
-        groups: &[GroupRec],
-        goal: &Goal,
-        round_limit: Option<usize>,
-    ) -> Result<EprOutcome, EprError> {
-        let mut q = EprCheck::with_mode(frame.sig(), self.mode)?;
-        q.set_instance_limit(self.instance_limit);
-        q.set_budget(self.budget);
-        q.set_lazy_round_limit(round_limit);
-        for (label, id) in &frame.asserts()[..prefix] {
-            q.assert_id(label.clone(), *id)?;
-        }
-        for rec in groups {
-            if rec.retired || !rec.enabled {
-                continue;
-            }
-            for id in &rec.ids {
-                q.assert_id(rec.label.clone(), *id)?;
-            }
-        }
-        for (label, id) in goal.asserts() {
-            q.assert_id(label.clone(), *id)?;
-        }
-        let outcome = q.check()?;
-        self.record(q.report());
-        Ok(outcome)
     }
 
     /// Takes a session for `frame` from the pool (every frame assert
@@ -838,13 +782,14 @@ impl FrameSession<'_> {
     /// Propagates [`EprError`].
     pub fn solve_goal(&mut self, goal: &Goal) -> Result<EprOutcome, EprError> {
         let result = if self.live.is_none() {
-            self.oracle.fresh_outcome(
-                &self.frame,
-                self.prefix,
-                &self.groups,
-                goal,
-                self.round_limit,
-            )
+            // A fresh handle: ground a single-use session, query it once,
+            // and drop it unpooled.
+            self.ground_live().and_then(|live| {
+                self.live = Some(live);
+                let outcome = self.try_goal_live(goal);
+                self.live = None;
+                outcome
+            })
         } else {
             let reused = self.live.as_ref().is_some_and(|l| l.reused);
             match self.try_goal_live(goal) {
@@ -888,10 +833,17 @@ impl FrameSession<'_> {
     }
 
     /// Replaces an instantiation-exhausted recycled session with a fresh
-    /// grounding of the frame's active prefix plus this handle's live
-    /// groups. The candidate is built before swapping, so a failure leaves
-    /// the handle usable.
+    /// grounding (see [`FrameSession::ground_live`]). The candidate is
+    /// built before swapping, so a failure leaves the handle usable; the
+    /// old session is dropped, not pooled: its budget is spent.
     fn rebuild_live(&mut self) -> Result<(), EprError> {
+        self.live = Some(self.ground_live()?);
+        Ok(())
+    }
+
+    /// Grounds a new, unpooled session for the frame's active prefix plus
+    /// this handle's live groups.
+    fn ground_live(&self) -> Result<LiveState, EprError> {
         let (mut session, frame_groups) =
             self.oracle
                 .build_session(&self.frame, self.key, self.prefix, self.round_limit)?;
@@ -907,14 +859,12 @@ impl FrameSession<'_> {
             }
             map.push(Some(gid));
         }
-        // The old session is dropped, not pooled: its budget is spent.
-        self.live = Some(LiveState {
+        Ok(LiveState {
             session,
             frame_groups,
             map,
             reused: false,
-        });
-        Ok(())
+        })
     }
 
     /// Mirrors the most recently pushed group into the live session, if
@@ -991,17 +941,18 @@ mod tests {
     #[test]
     fn fingerprint_tracks_frame_content() {
         let sig = sig();
+        let full = InstantiationMode::Full;
         let mut f1 = Frame::new(&sig);
         f1.push("base", fid("forall X:s. r(X)"));
         let mut f2 = Frame::new(&sig);
         f2.push("base", fid("forall X:s. r(X)"));
-        assert_eq!(f1.fingerprint(), f2.fingerprint());
+        assert_eq!(f1.fingerprint(full), f2.fingerprint(full));
         f2.push("extra", fid("r(a)"));
-        assert_ne!(f1.fingerprint(), f2.fingerprint());
+        assert_ne!(f1.fingerprint(full), f2.fingerprint(full));
         // A different label alone changes the fingerprint too.
         let mut f3 = Frame::new(&sig);
         f3.push("other", fid("forall X:s. r(X)"));
-        assert_ne!(f1.fingerprint(), f3.fingerprint());
+        assert_ne!(f1.fingerprint(full), f3.fingerprint(full));
     }
 
     #[test]
@@ -1045,6 +996,56 @@ mod tests {
         other.push("base", fid("r(a)"));
         oracle.solve(&other, &goal).unwrap();
         assert_eq!(oracle.rollup().frame_misses, 2);
+    }
+
+    #[test]
+    fn fresh_queries_never_touch_the_pool() {
+        let sig = sig();
+        let mut frame = Frame::new(&sig);
+        frame.push("base", fid("forall X:s. r(X)"));
+        let goal = Goal::new("g", fid("r(a)"));
+        let mut oracle = Oracle::new();
+        oracle.set_strategy(QueryStrategy::Fresh);
+        for _ in 0..3 {
+            assert!(oracle.solve(&frame, &goal).unwrap().is_sat());
+            let mut h = oracle.open(&frame).unwrap();
+            h.assert("extra", fid("r(a)")).unwrap();
+            assert!(h.check().unwrap().is_sat());
+            assert!(h.solve_goal(&goal).unwrap().is_sat());
+        }
+        let rollup = oracle.rollup();
+        assert_eq!(rollup.frame_hits, 0);
+        assert_eq!(rollup.frame_misses, 0);
+        assert_eq!(rollup.report.queries, 9);
+        // Nothing was checked in: the first pooled query over the same
+        // frame (and the same shared pool) is a miss.
+        oracle.set_strategy(QueryStrategy::Session);
+        assert!(oracle.solve(&frame, &goal).unwrap().is_sat());
+        let rollup = oracle.rollup();
+        assert_eq!(rollup.frame_hits, 0);
+        assert_eq!(rollup.frame_misses, 1);
+    }
+
+    #[test]
+    fn fresh_queries_ground_like_a_cold_session() {
+        // A fresh query is a single-use session, so its grounding matches
+        // the cold pooled query's exactly (empty sorts are inhabited up
+        // front either way).
+        let mut sig = Signature::new();
+        sig.add_sort("node").unwrap();
+        sig.add_relation("r", ["node"]).unwrap();
+        let mut frame = Frame::new(&sig);
+        frame.push("one", fid("forall X:node, Y:node. r(X) & r(Y) -> X = Y"));
+        let goal = Goal::new("two", fid("exists X:node, Y:node. r(X) & r(Y) & X ~= Y"));
+        let report = |strategy| {
+            let mut oracle = Oracle::new();
+            oracle.set_strategy(strategy);
+            assert!(!oracle.solve(&frame, &goal).unwrap().is_sat());
+            oracle.rollup().report
+        };
+        let (fresh, session) = (report(QueryStrategy::Fresh), report(QueryStrategy::Session));
+        assert_eq!(fresh.universe, session.universe);
+        assert_eq!(fresh.instances, session.instances);
     }
 
     #[test]
@@ -1129,8 +1130,8 @@ mod tests {
         let mut frame = Frame::new(&sig);
         frame.push("base", fid("forall X:s. r(X)"));
         assert_ne!(
-            frame.fingerprint(),
-            frame.fingerprint_with_mode(InstantiationMode::Bounded(2))
+            frame.fingerprint(InstantiationMode::Full),
+            frame.fingerprint(InstantiationMode::Bounded(2))
         );
         let goal = Goal::new("g", fid("r(a)"));
         let oracle = Oracle::new();

@@ -1,23 +1,20 @@
-//! The EPR satisfiability check: the decision procedure behind every Ivy
-//! query (Theorem 3.3 of the paper).
+//! The vocabulary of an EPR query, shared by every [`EprSession`]: the
+//! instantiation mode, outcomes, errors and statistics, plus the grounding
+//! steps the session runs per group (definitional splitting, template
+//! instantiation over the universe, and model extraction).
 //!
-//! Input: a signature with stratified functions and a set of labeled
-//! sentences that are `∃*∀*` after prenexing. Output: a finite model
-//! (structure) or an UNSAT core over the labels.
+//! [`EprSession`]: crate::EprSession
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use ivy_fol::intern::{FormulaId, FormulaNode, Interner};
-use ivy_fol::xform::Block;
-use ivy_fol::{
-    Binding, Elem, Formula, SigError, Signature, SkolemError, Sort, SortError, Structure, Sym,
-};
-use ivy_sat::{Lit, SolveResult, Stats};
-use ivy_telemetry::{counter_add, Budget, QueryReport, Span, StopReason};
+use ivy_fol::{Binding, Elem, SigError, Signature, SkolemError, Sort, SortError, Structure, Sym};
+use ivy_sat::{Lit, Stats};
+use ivy_telemetry::{counter_add, QueryReport, StopReason};
 
-use crate::encode::{Encoder, EqualityMode, LazyResult, Template};
+use crate::encode::{Encoder, Template};
 
 /// A Skolemized assertion split into one miniscoped universal job: the
 /// bindings to enumerate and the pre-compiled instantiation template of the
@@ -27,7 +24,6 @@ pub(crate) struct GroundJob {
     pub(crate) bindings: Vec<Binding>,
     pub(crate) template: Template,
 }
-use crate::ground::{ensure_inhabited, TermTable};
 
 /// The default cap on universal instantiations per query, shared by every
 /// engine built on this crate (verification conditions, BMC, Houdini, …).
@@ -105,8 +101,10 @@ pub enum EprError {
         limit: u64,
     },
     /// The lazy equality repair loop exceeded its configured round limit
-    /// (only with [`EprCheck::set_lazy_round_limit`]); the query is
+    /// (only with [`EprSession::set_lazy_round_limit`]); the query is
     /// undecided. Best-effort callers treat this as "give up".
+    ///
+    /// [`EprSession::set_lazy_round_limit`]: crate::EprSession::set_lazy_round_limit
     RepairLimit {
         /// Rounds performed before giving up.
         rounds: usize,
@@ -116,6 +114,8 @@ pub enum EprError {
     /// verification loops when a query returns
     /// [`EprOutcome::Unknown`] — the enclosing analysis is
     /// *inconclusive*, never a proof or a refutation.
+    ///
+    /// [`Budget`]: ivy_telemetry::Budget
     Inconclusive(StopReason),
 }
 
@@ -167,7 +167,7 @@ pub struct Model {
     pub structure: Structure,
 }
 
-/// Outcome of [`EprCheck::check`].
+/// Outcome of [`EprSession::check`](crate::EprSession::check).
 #[derive(Clone, Debug)]
 pub enum EprOutcome {
     /// Satisfiable, with a finite model (the finite-model property of EPR).
@@ -176,8 +176,12 @@ pub enum EprOutcome {
     Unsat(Vec<String>),
     /// The query's [`Budget`] ran out (deadline or conflict cap) before a
     /// verdict. Partial statistics are still recorded — see
-    /// [`EprCheck::stats`] / [`EprCheck::report`]. Callers must treat this
-    /// as *inconclusive*, never as UNSAT.
+    /// [`EprSession::stats`] / [`EprSession::report`]. Callers must treat
+    /// this as *inconclusive*, never as UNSAT.
+    ///
+    /// [`Budget`]: ivy_telemetry::Budget
+    /// [`EprSession::stats`]: crate::EprSession::stats
+    /// [`EprSession::report`]: crate::EprSession::report
     Unknown(StopReason),
 }
 
@@ -204,9 +208,9 @@ pub struct GroundStats {
     pub universe: usize,
     /// Universal instantiations performed.
     pub instances: u64,
-    /// Equality axiom clauses added (eager mode) or added lazily.
+    /// Equality axiom clauses the lazy repair loop added in this check.
     pub equality_clauses: usize,
-    /// Lazy-equality repair rounds performed (0 in eager mode).
+    /// Lazy-equality repair rounds performed in this check.
     pub equality_rounds: usize,
     /// SAT variables allocated.
     pub sat_vars: usize,
@@ -221,24 +225,6 @@ pub struct GroundStats {
 }
 
 impl GroundStats {
-    /// The single stats builder shared by [`EprCheck::check`] and
-    /// `EprSession::check`: everything solver- and encoder-derived is read
-    /// here, in one place, so the two paths cannot silently diverge.
-    pub(crate) fn collect(enc: &Encoder, instances: u64, eq_clauses: usize, rounds: usize) -> Self {
-        let (atom_hits, atom_misses) = enc.atom_cache_stats();
-        GroundStats {
-            universe: enc.table().len(),
-            instances,
-            equality_clauses: eq_clauses,
-            equality_rounds: rounds,
-            sat_vars: enc.solver().num_vars(),
-            sat_clauses: enc.solver().num_clauses(),
-            atom_hits,
-            atom_misses,
-            sat: enc.solver().stats(),
-        }
-    }
-
     /// Converts to a telemetry [`QueryReport`] covering the *delta* from
     /// `prev` (solver counters are cumulative per solver; per-query numbers
     /// are differences between consecutive snapshots). Also publishes the
@@ -299,395 +285,6 @@ impl GroundStats {
         counter_add("cache.atom_hits", report.atom_cache_hits);
         counter_add("cache.atom_misses", report.atom_cache_misses);
         report
-    }
-}
-
-/// An EPR satisfiability query: labeled `∃*∀*` assertions over a signature.
-///
-/// # Examples
-///
-/// ```
-/// use ivy_fol::{parse_formula, Signature};
-/// use ivy_epr::EprCheck;
-///
-/// let mut sig = Signature::new();
-/// sig.add_sort("s")?;
-/// sig.add_relation("r", ["s", "s"])?;
-/// let mut q = EprCheck::new(&sig)?;
-/// q.assert_labeled("total", &parse_formula("forall X:s, Y:s. r(X, Y) | r(Y, X)")?)?;
-/// q.assert_labeled("gap", &parse_formula("exists X:s, Y:s. ~r(X, Y) & ~r(Y, X)")?)?;
-/// assert!(!q.check()?.is_sat());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct EprCheck {
-    sig: Signature,
-    mode: InstantiationMode,
-    assertions: Vec<(String, FormulaId)>,
-    instance_limit: u64,
-    equality_mode: EqualityMode,
-    lazy_round_limit: Option<usize>,
-    budget: Budget,
-    stats: GroundStats,
-    report: QueryReport,
-}
-
-impl EprCheck {
-    /// Creates a query over `sig` in [`InstantiationMode::Full`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EprError::Sig`] if the signature's functions are not
-    /// stratified — the decidability precondition of Section 3.3. The error
-    /// names the offending sort cycle and the function edges inducing it;
-    /// [`EprCheck::with_mode`] with [`InstantiationMode::Bounded`] admits
-    /// such signatures.
-    pub fn new(sig: &Signature) -> Result<EprCheck, EprError> {
-        EprCheck::with_mode(sig, InstantiationMode::Full)
-    }
-
-    /// Creates a query over `sig` with an explicit [`InstantiationMode`].
-    ///
-    /// # Errors
-    ///
-    /// In [`InstantiationMode::Full`], returns [`EprError::Sig`] for
-    /// unstratified signatures. [`InstantiationMode::Bounded`] accepts any
-    /// signature — fragment membership becomes a per-query analysis that
-    /// decides how much the bound ends up mattering, not a constructor
-    /// error.
-    pub fn with_mode(sig: &Signature, mode: InstantiationMode) -> Result<EprCheck, EprError> {
-        if !mode.is_bounded() {
-            sig.stratification()?;
-        }
-        Ok(EprCheck {
-            sig: sig.clone(),
-            mode,
-            assertions: Vec::new(),
-            instance_limit: DEFAULT_INSTANCE_LIMIT,
-            equality_mode: EqualityMode::default(),
-            lazy_round_limit: None,
-            budget: Budget::UNLIMITED,
-            stats: GroundStats::default(),
-            report: QueryReport::default(),
-        })
-    }
-
-    /// The instantiation mode this query runs under.
-    pub fn mode(&self) -> InstantiationMode {
-        self.mode
-    }
-
-    /// Bounds the lazy equality repair loop; exceeding it yields
-    /// [`EprError::RepairLimit`]. `None` (the default) never gives up.
-    pub fn set_lazy_round_limit(&mut self, limit: Option<usize>) {
-        self.lazy_round_limit = limit;
-    }
-
-    /// Applies a resource [`Budget`]. A deadline or conflict cap that trips
-    /// mid-query makes [`EprCheck::check`] return
-    /// [`EprOutcome::Unknown`] (with partial statistics) instead of
-    /// running unbounded; `max_instances` tightens the instantiation limit.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
-    }
-
-    /// Selects eager or lazy equality axiom generation (default: lazy).
-    pub fn set_equality_mode(&mut self, mode: EqualityMode) {
-        self.equality_mode = mode;
-    }
-
-    /// Caps the number of universal instantiations grounding may perform.
-    pub fn set_instance_limit(&mut self, limit: u64) {
-        self.instance_limit = limit;
-    }
-
-    /// Adds a labeled assertion. The formula must be closed and well-sorted;
-    /// its quantifier structure is validated at [`EprCheck::check`] time
-    /// (after Skolemization).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EprError::Sort`] for ill-sorted formulas.
-    pub fn assert_labeled(
-        &mut self,
-        label: impl Into<String>,
-        f: &Formula,
-    ) -> Result<(), EprError> {
-        f.well_sorted(&self.sig, &BTreeMap::new())?;
-        let id = ivy_fol::intern::intern(f);
-        self.assertions.push((label.into(), id));
-        Ok(())
-    }
-
-    /// Adds a labeled assertion that is already interned, avoiding a tree
-    /// materialization for callers working in id space (the sort check
-    /// still resolves once — the only cold walk an assertion pays).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EprError::Sort`] for ill-sorted formulas.
-    pub fn assert_id(&mut self, label: impl Into<String>, f: FormulaId) -> Result<(), EprError> {
-        let tree = ivy_fol::intern::resolve(f);
-        tree.well_sorted(&self.sig, &BTreeMap::new())?;
-        self.assertions.push((label.into(), f));
-        Ok(())
-    }
-
-    /// Grounding and solving statistics of the last `check` call.
-    pub fn stats(&self) -> GroundStats {
-        self.stats
-    }
-
-    /// Telemetry report of the last `check` call (same numbers as
-    /// [`EprCheck::stats`], in the machine-readable form emitted by
-    /// `--profile`). Partial stats are recorded even when the outcome is
-    /// [`EprOutcome::Unknown`].
-    pub fn report(&self) -> &QueryReport {
-        &self.report
-    }
-
-    /// Runs only the grounding pipeline (split, Skolemize, instantiate,
-    /// Tseitin-encode) without invoking the SAT solver. Useful for measuring
-    /// grounding cost in isolation; the updated [`GroundStats`] are
-    /// returned and also available via [`EprCheck::stats`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EprCheck::check`], minus solver-stage errors.
-    pub fn ground_only(&mut self) -> Result<GroundStats, EprError> {
-        let _ = self.grounded()?;
-        Ok(self.stats)
-    }
-
-    /// Decides satisfiability of the conjunction of all assertions.
-    ///
-    /// # Errors
-    ///
-    /// [`EprError::Skolem`] when an assertion leaves `∃*∀*`;
-    /// [`EprError::TooManyInstances`] when grounding exceeds the limit.
-    pub fn check(&mut self) -> Result<EprOutcome, EprError> {
-        let started = std::time::Instant::now();
-        // An already-expired deadline degrades before grounding even
-        // starts: grounding a large query can itself blow the budget.
-        if self.budget.expired() {
-            let stop = Some(StopReason::DeadlineExceeded);
-            self.report = self.stats.report_delta(
-                &GroundStats::default(),
-                "unknown",
-                stop,
-                started.elapsed().as_nanos(),
-            );
-            return Ok(EprOutcome::Unknown(StopReason::DeadlineExceeded));
-        }
-        let (work_sig, mut enc, guards) = self.grounded()?;
-        let assumptions: Vec<Lit> = guards.iter().map(|(g, _)| *g).collect();
-        enc.solver_mut().set_deadline(self.budget.deadline);
-        let sat_span = Span::enter("sat");
-        let result = match self.equality_mode {
-            EqualityMode::Eager => {
-                self.stats.equality_clauses = enc.finalize_equality();
-                let max_conflicts = self.budget.max_conflicts.unwrap_or(u64::MAX);
-                match enc.solver_mut().solve_budgeted(&assumptions, max_conflicts) {
-                    Some(r) => Ok(r),
-                    None => Err(match enc.solver().last_interrupt() {
-                        Some(ivy_sat::Interrupt::Deadline) => StopReason::DeadlineExceeded,
-                        _ => StopReason::ConflictBudget,
-                    }),
-                }
-            }
-            EqualityMode::Lazy => {
-                let (result, rounds) = enc.solve_lazy_with(
-                    &assumptions,
-                    self.lazy_round_limit,
-                    self.budget.max_conflicts,
-                );
-                self.stats.equality_rounds = rounds;
-                match result {
-                    LazyResult::Sat => Ok(SolveResult::Sat),
-                    LazyResult::Unsat => Ok(SolveResult::Unsat),
-                    LazyResult::Deadline => Err(StopReason::DeadlineExceeded),
-                    LazyResult::Conflicts => Err(StopReason::ConflictBudget),
-                    LazyResult::GaveUp => {
-                        drop(sat_span);
-                        self.finish_stats(&enc, started, "gave_up", Some(StopReason::RepairLimit));
-                        return Err(EprError::RepairLimit { rounds });
-                    }
-                }
-            }
-        };
-        drop(sat_span);
-        let outcome = match result {
-            Err(reason) => EprOutcome::Unknown(reason),
-            // A bounded SAT is only a verdict when nothing was cut: if the
-            // universe was truncated or an instantiation skipped, the model
-            // satisfies a strict subset of the full ground problem and may
-            // not extend — degrade to Unknown. (UNSAT always stands: the
-            // bounded clauses are a subset of the full instantiation.)
-            // `extract_structure` also relies on the closure being complete.
-            Ok(SolveResult::Sat) if enc.table().truncated() || enc.skipped_instances() > 0 => {
-                EprOutcome::Unknown(StopReason::BoundReached)
-            }
-            Ok(SolveResult::Sat) => {
-                let structure = extract_structure(&enc, &work_sig);
-                EprOutcome::Sat(Box::new(Model { structure }))
-            }
-            Ok(SolveResult::Unsat) => {
-                let core: Vec<String> = enc
-                    .solver()
-                    .unsat_core()
-                    .iter()
-                    .filter_map(|l| {
-                        guards
-                            .iter()
-                            .find(|(g, _)| g == l)
-                            .map(|(_, label)| label.clone())
-                    })
-                    .collect();
-                EprOutcome::Unsat(core)
-            }
-        };
-        let stop = match &outcome {
-            EprOutcome::Unknown(r) => Some(*r),
-            _ => None,
-        };
-        self.finish_stats(&enc, started, outcome.tag(), stop);
-        Ok(outcome)
-    }
-
-    /// Refreshes `stats` and `report` from the encoder through the shared
-    /// builder (each `check` uses a fresh encoder, so the delta baseline is
-    /// empty). Equality fields filled earlier in `check` are preserved.
-    fn finish_stats(
-        &mut self,
-        enc: &Encoder,
-        started: std::time::Instant,
-        outcome: &str,
-        stop: Option<StopReason>,
-    ) {
-        let eq_clauses = self.stats.equality_clauses;
-        let rounds = self.stats.equality_rounds;
-        self.stats = GroundStats::collect(enc, self.stats.instances, eq_clauses, rounds);
-        self.report = self.stats.report_delta(
-            &GroundStats::default(),
-            outcome,
-            stop,
-            started.elapsed().as_nanos(),
-        );
-    }
-
-    /// The grounding prefix shared by [`EprCheck::check`] and
-    /// [`EprCheck::ground_only`]: split, Skolemize, instantiate and encode
-    /// every assertion into a fresh [`Encoder`], one assumption guard per
-    /// assertion.
-    #[allow(clippy::type_complexity)]
-    fn grounded(&mut self) -> Result<(Signature, Encoder, Vec<(Lit, String)>), EprError> {
-        let ground_span = Span::enter("ground");
-        let mut work_sig = self.sig.clone();
-        // Split, then Skolemize every assertion, extending the working
-        // signature. Splitting (relational Tseitin with fresh nullary guard
-        // relations) keeps disjunctions of universally-defined transition
-        // paths from merging all their quantifiers into one huge block —
-        // without it a BMC step over p paths with v variables each would
-        // ground over (p·v) variables at once.
-        let mut guard_counter = 0usize;
-        let mut ground_jobs: Vec<(String, Vec<GroundJob>)> = Vec::new();
-        Interner::with(|it| -> Result<(), EprError> {
-            for (label, f) in &self.assertions {
-                let f = it.eliminate_ite(*f);
-                let n = it.nnf(f);
-                let mut pieces = Vec::new();
-                split_for_grounding(
-                    it,
-                    n,
-                    Vec::new(),
-                    &mut work_sig,
-                    &mut guard_counter,
-                    &mut pieces,
-                );
-                let mut jobs = Vec::new();
-                for piece in pieces {
-                    // Bounded mode tolerates ∀∃ nesting: existentials under
-                    // universals Skolemize to genuine functions, whose
-                    // applications the bounded universe only unrolls up to
-                    // the depth bound.
-                    let sk = match self.mode {
-                        InstantiationMode::Full => it.skolemize(piece, &mut work_sig)?,
-                        InstantiationMode::Bounded(_) => {
-                            it.skolemize_bounded(piece, &mut work_sig)?
-                        }
-                    };
-                    let bindings: Vec<Binding> = sk
-                        .universal
-                        .prefix
-                        .iter()
-                        .flat_map(|b| match b {
-                            Block::Forall(bs) => bs.clone(),
-                            Block::Exists(_) => unreachable!("skolemize leaves only universals"),
-                        })
-                        .collect();
-                    // Miniscope: instantiate each top-level conjunct only
-                    // over the variables it actually uses (free-var sets are
-                    // cached on the interned nodes).
-                    for conjunct in it.conjuncts(sk.universal.matrix) {
-                        let fv = it.free_vars(conjunct);
-                        let needed: Vec<Binding> = bindings
-                            .iter()
-                            .filter(|b| fv.contains(&b.var))
-                            .cloned()
-                            .collect();
-                        let template = Template::compile(it, conjunct, &needed);
-                        jobs.push(GroundJob {
-                            bindings: needed,
-                            template,
-                        });
-                    }
-                }
-                ground_jobs.push((label.clone(), jobs));
-            }
-            Ok(())
-        })?;
-        ensure_inhabited(&mut work_sig);
-        let table = match self.mode {
-            InstantiationMode::Full => TermTable::build(&work_sig),
-            InstantiationMode::Bounded(depth) => TermTable::build_bounded(&work_sig, depth),
-        };
-        // Estimate and enforce the instantiation budget.
-        let mut estimated: u64 = 0;
-        for (_, jobs) in &ground_jobs {
-            for job in jobs {
-                let mut count: u64 = 1;
-                for b in &job.bindings {
-                    count = count.saturating_mul(table.of_sort(&b.sort).len() as u64);
-                }
-                estimated = estimated.saturating_add(count);
-            }
-        }
-        let limit = self
-            .instance_limit
-            .min(self.budget.max_instances.unwrap_or(u64::MAX));
-        if estimated > limit {
-            return Err(EprError::TooManyInstances { estimated, limit });
-        }
-        self.stats = GroundStats {
-            universe: table.len(),
-            instances: estimated,
-            ..GroundStats::default()
-        };
-        drop(ground_span);
-        let encode_span = Span::enter("encode");
-        let mut enc = Encoder::new(table);
-        enc.set_bound(self.mode.depth());
-        // One assumption guard per assertion (for UNSAT cores).
-        let mut guards: Vec<(Lit, String)> = Vec::new();
-        for (label, jobs) in &ground_jobs {
-            let guard = enc.fresh_var().pos();
-            guards.push((guard, label.clone()));
-            for job in jobs {
-                instantiate(&mut enc, guard, job);
-            }
-        }
-        drop(encode_span);
-        Ok((work_sig, enc, guards))
     }
 }
 
@@ -833,12 +430,6 @@ pub(crate) fn instantiate_delta(enc: &mut Encoder, guard: Lit, job: &GroundJob, 
     go(enc, guard, job, &domains, &mut Vec::new(), min_term, false);
 }
 
-/// Enumerates all ground instantiations of the job and asserts
-/// `guard -> matrix[env]` for each.
-fn instantiate(enc: &mut Encoder, guard: Lit, job: &GroundJob) {
-    instantiate_delta(enc, guard, job, 0);
-}
-
 /// Builds a finite first-order structure from the SAT model by quotienting
 /// the ground-term universe by the true equalities.
 pub(crate) fn extract_structure(enc: &Encoder, work_sig: &Signature) -> Structure {
@@ -918,268 +509,4 @@ pub(crate) fn extract_structure(enc: &Encoder, work_sig: &Signature) -> Structur
         }
     }
     structure
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ivy_fol::parse_formula;
-
-    fn order_sig() -> Signature {
-        let mut sig = Signature::new();
-        sig.add_sort("id").unwrap();
-        sig.add_relation("le", ["id", "id"]).unwrap();
-        sig
-    }
-
-    const TOTAL_ORDER: &str = "forall X:id. le(X, X)";
-    const ANTISYM: &str = "forall X:id, Y:id. le(X, Y) & le(Y, X) -> X = Y";
-    const TRANS: &str = "forall X:id, Y:id, Z:id. le(X, Y) & le(Y, Z) -> le(X, Z)";
-    const TOTAL: &str = "forall X:id, Y:id. le(X, Y) | le(Y, X)";
-
-    #[test]
-    fn total_order_axioms_satisfiable() {
-        let sig = order_sig();
-        let mut q = EprCheck::new(&sig).unwrap();
-        for (i, src) in [TOTAL_ORDER, ANTISYM, TRANS, TOTAL].iter().enumerate() {
-            q.assert_labeled(format!("ax{i}"), &parse_formula(src).unwrap())
-                .unwrap();
-        }
-        q.assert_labeled(
-            "three",
-            &parse_formula("exists X:id, Y:id, Z:id. X ~= Y & Y ~= Z & X ~= Z").unwrap(),
-        )
-        .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Sat(model) => {
-                let s = &model.structure;
-                assert!(s.domain_size(&Sort::new("id")) >= 3);
-                // The model really satisfies all assertions.
-                for src in [TOTAL_ORDER, ANTISYM, TRANS, TOTAL] {
-                    assert!(
-                        s.eval_closed(&parse_formula(src).unwrap()).unwrap(),
-                        "{src}"
-                    );
-                }
-            }
-            EprOutcome::Unsat(core) => panic!("unexpectedly unsat: {core:?}"),
-            EprOutcome::Unknown(r) => panic!("unexpectedly unknown: {r}"),
-        }
-    }
-
-    #[test]
-    fn contradiction_detected_with_core() {
-        let sig = order_sig();
-        let mut q = EprCheck::new(&sig).unwrap();
-        q.assert_labeled("refl", &parse_formula(TOTAL_ORDER).unwrap())
-            .unwrap();
-        q.assert_labeled("irrefl", &parse_formula("exists X:id. ~le(X, X)").unwrap())
-            .unwrap();
-        q.assert_labeled("total", &parse_formula(TOTAL).unwrap())
-            .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Unsat(core) => {
-                assert!(core.contains(&"refl".to_string()));
-                assert!(core.contains(&"irrefl".to_string()));
-                assert!(!core.contains(&"total".to_string()), "core: {core:?}");
-            }
-            EprOutcome::Sat(_) => panic!("expected unsat"),
-            EprOutcome::Unknown(r) => panic!("unexpectedly unknown: {r}"),
-        }
-    }
-
-    #[test]
-    fn finite_model_property_bounds_domain() {
-        // exists X,Y. X ~= Y with nothing else: minimal model has 2 elements;
-        // our construction never exceeds the number of Skolem constants.
-        let mut sig = Signature::new();
-        sig.add_sort("s").unwrap();
-        let mut q = EprCheck::new(&sig).unwrap();
-        q.assert_labeled("pair", &parse_formula("exists X:s, Y:s. X ~= Y").unwrap())
-            .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Sat(model) => {
-                assert_eq!(model.structure.domain_size(&Sort::new("s")), 2);
-            }
-            EprOutcome::Unsat(_) => panic!("satisfiable"),
-            EprOutcome::Unknown(r) => panic!("unexpectedly unknown: {r}"),
-        }
-    }
-
-    #[test]
-    fn skolems_can_merge_when_equality_forces() {
-        let mut sig = Signature::new();
-        sig.add_sort("s").unwrap();
-        sig.add_relation("r", ["s"]).unwrap();
-        let mut q = EprCheck::new(&sig).unwrap();
-        // At most one element, and two witnesses: they must merge.
-        q.assert_labeled(
-            "at_most_one",
-            &parse_formula("forall X:s, Y:s. X = Y").unwrap(),
-        )
-        .unwrap();
-        q.assert_labeled(
-            "two_names",
-            &parse_formula("exists X:s, Y:s. r(X) & r(Y)").unwrap(),
-        )
-        .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Sat(model) => {
-                assert_eq!(model.structure.domain_size(&Sort::new("s")), 1);
-            }
-            EprOutcome::Unsat(_) => panic!("satisfiable"),
-            EprOutcome::Unknown(r) => panic!("unexpectedly unknown: {r}"),
-        }
-    }
-
-    #[test]
-    fn ae_formula_rejected() {
-        let sig = order_sig();
-        let mut q = EprCheck::new(&sig).unwrap();
-        q.assert_labeled(
-            "ae",
-            &parse_formula("forall X:id. exists Y:id. le(X, Y)").unwrap(),
-        )
-        .unwrap();
-        assert!(matches!(q.check(), Err(EprError::Skolem(_))));
-    }
-
-    #[test]
-    fn unstratified_signature_rejected() {
-        let mut sig = Signature::new();
-        sig.add_sort("s").unwrap();
-        sig.add_function("next", ["s"], "s").unwrap();
-        assert!(matches!(EprCheck::new(&sig), Err(EprError::Sig(_))));
-    }
-
-    #[test]
-    fn bounded_mode_admits_unstratified_signature() {
-        let mut sig = Signature::new();
-        sig.add_sort("s").unwrap();
-        sig.add_function("next", ["s"], "s").unwrap();
-        // Full mode refuses at construction; bounded mode proceeds, and an
-        // UNSAT answer is a verdict even though the universe is truncated.
-        assert!(EprCheck::new(&sig).is_err());
-        let mut q = EprCheck::with_mode(&sig, InstantiationMode::Bounded(2)).unwrap();
-        q.assert_labeled("absurd", &parse_formula("exists X:s. X ~= X").unwrap())
-            .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Unsat(core) => assert_eq!(core, vec!["absurd".to_string()]),
-            other => panic!("expected unsat, got {}", other.tag()),
-        }
-    }
-
-    #[test]
-    fn bounded_mode_degrades_sat_under_live_bound() {
-        let mut sig = Signature::new();
-        sig.add_sort("s").unwrap();
-        sig.add_function("next", ["s"], "s").unwrap();
-        // `next` makes the closure infinite, so any bound truncates; a SAT
-        // answer is then only about a strict subset of the ground problem.
-        let mut q = EprCheck::with_mode(&sig, InstantiationMode::Bounded(2)).unwrap();
-        q.assert_labeled("trivial", &parse_formula("exists X:s. X = X").unwrap())
-            .unwrap();
-        assert!(matches!(
-            q.check().unwrap(),
-            EprOutcome::Unknown(StopReason::BoundReached)
-        ));
-    }
-
-    #[test]
-    fn bounded_mode_keeps_genuine_sat_when_closure_fits() {
-        // A stratified signature whose closure fits under the bound: nothing
-        // is cut, so SAT stays a verdict with a real model.
-        let sig = order_sig();
-        let mut q = EprCheck::with_mode(&sig, InstantiationMode::Bounded(4)).unwrap();
-        q.assert_labeled(
-            "pair",
-            &parse_formula("exists X:id, Y:id. le(X, Y) & X ~= Y").unwrap(),
-        )
-        .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Sat(model) => {
-                assert!(model.structure.domain_size(&Sort::new("id")) >= 2);
-            }
-            other => panic!("expected sat, got {}", other.tag()),
-        }
-    }
-
-    #[test]
-    fn bounded_mode_proves_ae_contradiction() {
-        // ∀∃ assertion Skolemizes to a function sk : id -> id; together with
-        // an ∃∀ witness of an le-maximal element it is UNSAT, and depth 1
-        // already holds the witnessing term sk(c).
-        let sig = order_sig();
-        let mut full = EprCheck::new(&sig).unwrap();
-        full.assert_labeled(
-            "succ",
-            &parse_formula("forall X:id. exists Y:id. le(X, Y) & X ~= Y").unwrap(),
-        )
-        .unwrap();
-        assert!(matches!(full.check(), Err(EprError::Skolem(_))));
-
-        let mut q = EprCheck::with_mode(&sig, InstantiationMode::Bounded(1)).unwrap();
-        q.assert_labeled(
-            "succ",
-            &parse_formula("forall X:id. exists Y:id. le(X, Y) & X ~= Y").unwrap(),
-        )
-        .unwrap();
-        q.assert_labeled(
-            "max",
-            &parse_formula("exists X:id. forall Y:id. le(X, Y) -> X = Y").unwrap(),
-        )
-        .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Unsat(core) => {
-                assert!(core.contains(&"succ".to_string()), "core: {core:?}");
-                assert!(core.contains(&"max".to_string()), "core: {core:?}");
-            }
-            other => panic!("expected unsat, got {}", other.tag()),
-        }
-    }
-
-    #[test]
-    fn stratified_functions_in_models() {
-        let mut sig = Signature::new();
-        sig.add_sort("node").unwrap();
-        sig.add_sort("id").unwrap();
-        sig.add_function("idf", ["node"], "id").unwrap();
-        sig.add_relation("le", ["id", "id"]).unwrap();
-        let mut q = EprCheck::new(&sig).unwrap();
-        // Injectivity + two nodes.
-        q.assert_labeled(
-            "unique_ids",
-            &parse_formula("forall N1:node, N2:node. N1 ~= N2 -> idf(N1) ~= idf(N2)").unwrap(),
-        )
-        .unwrap();
-        q.assert_labeled(
-            "two",
-            &parse_formula("exists N1:node, N2:node. N1 ~= N2").unwrap(),
-        )
-        .unwrap();
-        match q.check().unwrap() {
-            EprOutcome::Sat(model) => {
-                let s = &model.structure;
-                assert!(s.domain_size(&Sort::new("id")) >= 2, "ids must differ");
-                assert!(s.totality_gap().is_none(), "functions are total");
-            }
-            EprOutcome::Unsat(_) => panic!("satisfiable"),
-            EprOutcome::Unknown(r) => panic!("unexpectedly unknown: {r}"),
-        }
-    }
-
-    #[test]
-    fn instance_limit_enforced() {
-        let sig = order_sig();
-        let mut q = EprCheck::new(&sig).unwrap();
-        q.set_instance_limit(2);
-        q.assert_labeled("trans", &parse_formula(TRANS).unwrap())
-            .unwrap();
-        q.assert_labeled(
-            "some",
-            &parse_formula("exists X:id, Y:id. le(X, Y)").unwrap(),
-        )
-        .unwrap();
-        assert!(matches!(q.check(), Err(EprError::TooManyInstances { .. })));
-    }
 }

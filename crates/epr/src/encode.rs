@@ -54,18 +54,6 @@ impl UnionFind {
     }
 }
 
-/// How equality axioms are generated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EqualityMode {
-    /// Generate all transitivity/congruence axioms over "possibly equal"
-    /// components up front. Simple, but cubic in component size.
-    Eager,
-    /// Solve first, then add only the equality axioms the model violates,
-    /// and repeat (a CEGAR loop, as in lazy SMT). Usually far fewer clauses.
-    #[default]
-    Lazy,
-}
-
 /// One ground-term evaluation step of a [`Template`]: either read a
 /// quantified variable's ground instantiation from the environment, or look
 /// up a function application over previously evaluated steps.
@@ -943,6 +931,10 @@ impl Encoder {
     /// allocates equality variables for all intra-component pairs, and adds
     /// transitivity plus function/relation congruence axioms.
     ///
+    /// This is the eager discipline. Sessions solve with the lazy one
+    /// ([`Encoder::solve_lazy_with`]); the eager axioms remain the
+    /// reference the crate's tests check lazy verdicts against.
+    ///
     /// Must be called exactly once, after all assertions are encoded and
     /// before solving. Returns the number of axiom clauses added (for
     /// diagnostics).
@@ -1085,33 +1077,18 @@ impl Encoder {
     /// generated up front; after each SAT answer, the model is checked for
     /// transitivity/congruence violations and only the violated axioms are
     /// added, until the model is equality-consistent or the query becomes
-    /// unsatisfiable. Returns the result and the number of repair rounds.
+    /// unsatisfiable. Returns the result, the number of repair rounds, and
+    /// the number of equality axiom clauses added.
     ///
     /// UNSAT answers are sound (fewer axioms only weakens the clause set);
     /// SAT answers are certified consistent before being returned.
     /// `max_rounds = None` runs to completion; `Some(n)` gives up after `n`
-    /// repair rounds, returning `None` (unknown) — used by best-effort
-    /// callers such as CTI minimization.
-    pub fn solve_lazy(
-        &mut self,
-        assumptions: &[Lit],
-        max_rounds: Option<usize>,
-    ) -> (Option<ivy_sat::SolveResult>, usize) {
-        let (result, rounds) = self.solve_lazy_with(assumptions, max_rounds, None);
-        let mapped = match result {
-            LazyResult::Sat => Some(ivy_sat::SolveResult::Sat),
-            LazyResult::Unsat => Some(ivy_sat::SolveResult::Unsat),
-            LazyResult::GaveUp | LazyResult::Deadline | LazyResult::Conflicts => None,
-        };
-        (mapped, rounds)
-    }
-
-    /// Like [`Encoder::solve_lazy`], but additionally bounded by a total
-    /// conflict budget (`max_conflicts`, across all repair rounds) and by
-    /// any wall-clock deadline set on the underlying solver via
-    /// [`Solver::set_deadline`]. The returned [`LazyResult`] distinguishes
-    /// repair-loop exhaustion ([`LazyResult::GaveUp`], the historical
-    /// `None`) from the caller's budget tripping
+    /// repair rounds — used by best-effort callers such as CTI
+    /// minimization. The loop is also bounded by a total conflict budget
+    /// (`max_conflicts`, across all repair rounds) and by any wall-clock
+    /// deadline set on the underlying solver via [`Solver::set_deadline`].
+    /// The returned [`LazyResult`] distinguishes repair-loop exhaustion
+    /// ([`LazyResult::GaveUp`]) from the caller's budget tripping
     /// ([`LazyResult::Deadline`] / [`LazyResult::Conflicts`]), so the EPR
     /// layer can degrade to `Unknown` with the right reason.
     pub fn solve_lazy_with(
@@ -1119,7 +1096,7 @@ impl Encoder {
         assumptions: &[Lit],
         max_rounds: Option<usize>,
         max_conflicts: Option<u64>,
-    ) -> (LazyResult, usize) {
+    ) -> (LazyResult, usize, usize) {
         // A bounded repair loop also bounds each SAT call; an unbounded one
         // runs each call to completion.
         let conflict_budget = if max_rounds.is_some() {
@@ -1150,7 +1127,7 @@ impl Encoder {
             let spent = self.solver.stats().conflicts - start_conflicts;
             let remaining = cap.saturating_sub(spent);
             if remaining == 0 {
-                return (LazyResult::Conflicts, rounds);
+                return (LazyResult::Conflicts, rounds, total_added);
             }
             let round_budget = conflict_budget.min(remaining);
             match self.solver.solve_budgeted(assumptions, round_budget) {
@@ -1168,20 +1145,22 @@ impl Encoder {
                         }
                         _ => LazyResult::GaveUp,
                     };
-                    return (reason, rounds);
+                    return (reason, rounds, total_added);
                 }
-                Some(ivy_sat::SolveResult::Unsat) => return (LazyResult::Unsat, rounds),
+                Some(ivy_sat::SolveResult::Unsat) => {
+                    return (LazyResult::Unsat, rounds, total_added)
+                }
                 Some(ivy_sat::SolveResult::Sat) => {
                     let added = self.repair_equality(per_round_cap);
                     if added == 0 {
-                        return (LazyResult::Sat, rounds);
+                        return (LazyResult::Sat, rounds, total_added);
                     }
                     total_added += added;
                     rounds += 1;
                     if max_rounds.is_some_and(|m| rounds >= m)
                         || (max_rounds.is_some() && total_added > 200_000)
                     {
-                        return (LazyResult::GaveUp, rounds);
+                        return (LazyResult::GaveUp, rounds, total_added);
                     }
                 }
             }
@@ -1459,6 +1438,33 @@ mod tests {
         enc.add_clause([l]);
         enc.finalize_equality();
         assert_eq!(enc.solver_mut().solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn lazy_solve_counts_repair_rounds_and_clauses() {
+        let (_, table) = simple_table();
+        let mut enc = Encoder::new(table);
+        // The first model sets r(a) and ~r(c) with a = b = c: the repair
+        // loop must add transitivity/congruence clauses to refute it.
+        let f = ivy_fol::parse_formula("a = b & b = c & r(a) & ~r(c)").unwrap();
+        let l = enc.encode(&f, &[]);
+        enc.add_clause([l]);
+        let (result, rounds, clauses) = enc.solve_lazy_with(&[], None, None);
+        assert_eq!(result, LazyResult::Unsat);
+        assert!(
+            rounds >= 1 && clauses > 0,
+            "{rounds} rounds, {clauses} clauses"
+        );
+
+        let (_, table) = simple_table();
+        let mut enc = Encoder::new(table);
+        let f = ivy_fol::parse_formula("r(a) & ~r(b)").unwrap();
+        let l = enc.encode(&f, &[]);
+        enc.add_clause([l]);
+        assert_eq!(
+            enc.solve_lazy_with(&[], None, None),
+            (LazyResult::Sat, 0, 0)
+        );
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //! a verdict; SAT while the bound was load-bearing degrades to
 //! [`EprOutcome::Unknown`] with [`StopReason::BoundReached`].
 //!
+//! Every query runs through one front end, [`EprSession`]: a one-off check
+//! is a session used once, and a query family (a shared frame plus
+//! per-query goals) reuses one session's grounding and learnt clauses.
+//!
 //! # Example
 //!
 //! ```
 //! use ivy_fol::{parse_formula, Signature};
-//! use ivy_epr::{EprCheck, EprOutcome};
+//! use ivy_epr::{EprOutcome, EprSession};
 //!
 //! let mut sig = Signature::new();
 //! sig.add_sort("node")?;
 //! sig.add_relation("leader", ["node"])?;
-//! let mut q = EprCheck::new(&sig)?;
+//! let mut q = EprSession::new(&sig)?;
 //! q.assert_labeled("two_leaders", &parse_formula(
 //!     "exists X:node, Y:node. X ~= Y & leader(X) & leader(Y)")?)?;
 //! let EprOutcome::Sat(model) = q.check()? else { panic!("satisfiable") };
@@ -42,9 +46,9 @@ pub mod ground;
 pub mod session;
 
 pub use check::{
-    EprCheck, EprError, EprOutcome, GroundStats, InstantiationMode, Model, DEFAULT_INSTANCE_LIMIT,
+    EprError, EprOutcome, GroundStats, InstantiationMode, Model, DEFAULT_INSTANCE_LIMIT,
 };
-pub use encode::{Encoder, EqualityMode, LazyResult};
+pub use encode::{Encoder, LazyResult};
 pub use ground::{ensure_inhabited, GroundTerm, TermId, TermTable};
 pub use ivy_telemetry::{Budget, QueryReport, StopReason};
-pub use session::{frame_fingerprint, frame_fingerprint_with_mode, EprSession, GroupId};
+pub use session::{frame_fingerprint, EprSession, GroupId};

@@ -1,13 +1,13 @@
 //! Differential tests for incremental sessions: a sequence of queries run
 //! through one [`EprSession`] (shared frame, assumption-guarded violations,
 //! persistent learnt clauses and equality repairs) must agree query-by-query
-//! with a fresh [`EprCheck`] built from scratch for each query.
+//! with a single-use [`EprSession`] built from scratch for each query.
 //!
 //! Queries are drawn from a fixed sentence pool via a deterministic bitmask
-//! walk, as in `prop.rs`: the low half of the mask selects the persistent
-//! frame, the high half selects the sequence of one-shot violations.
+//! walk: the low half of the mask selects the persistent frame, the high
+//! half selects the sequence of one-shot violations.
 
-use ivy_epr::{EprCheck, EprOutcome, EprSession};
+use ivy_epr::{EprOutcome, EprSession};
 use ivy_fol::{parse_formula, Formula, Signature};
 
 fn signature() -> Signature {
@@ -58,9 +58,9 @@ fn violation_pool() -> Vec<Formula> {
     .collect()
 }
 
-/// The reference: one fresh end-to-end check of `frame ∪ {violation}`.
+/// The reference: one single-use session checking `frame ∪ {violation}`.
 fn fresh_verdict(frame: &[Formula], violation: Option<&Formula>) -> EprOutcome {
-    let mut q = EprCheck::new(&signature()).unwrap();
+    let mut q = EprSession::new(&signature()).unwrap();
     for (i, f) in frame.iter().enumerate() {
         q.assert_labeled(format!("h{i}"), f).unwrap();
     }

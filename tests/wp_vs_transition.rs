@@ -3,7 +3,7 @@
 //! uses. Both are checked with the same EPR decision procedure; a candidate
 //! invariant must be judged identically by the two encodings.
 
-use ivy_repro::epr::{EprCheck, EprOutcome};
+use ivy_repro::epr::{EprOutcome, EprSession};
 use ivy_repro::fol::{parse_formula, Formula};
 use ivy_repro::ivy::{Conjecture, Verifier};
 use ivy_repro::rml::{check_program, parse_program, wp, Program};
@@ -30,7 +30,7 @@ fn program() -> Program {
 fn wp_consecution_holds(p: &Program, inv: &Formula) -> bool {
     let axiom = p.axiom();
     let weakest = wp(&p.sig, &axiom, &p.body(), inv);
-    let mut q = EprCheck::new(&p.sig).unwrap();
+    let mut q = EprSession::new(&p.sig).unwrap();
     q.assert_labeled("axiom", &axiom).unwrap();
     q.assert_labeled("inv", inv).unwrap();
     q.assert_labeled("neg_wp", &Formula::not(weakest)).unwrap();
@@ -83,7 +83,7 @@ fn wp_initiation_matches_verifier() {
         let inv = parse_formula(src).unwrap();
         // wp encoding of initiation: A ⇒ wp(C_init, I).
         let weakest = wp(&p.sig, &axiom, &p.init, &inv);
-        let mut q = EprCheck::new(&p.sig).unwrap();
+        let mut q = EprSession::new(&p.sig).unwrap();
         q.assert_labeled("axiom", &axiom).unwrap();
         q.assert_labeled("neg", &Formula::not(weakest)).unwrap();
         let via_wp = matches!(q.check().unwrap(), EprOutcome::Unsat(_));
