@@ -13,7 +13,7 @@
 //! them (fresh, or frame-cached session).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ivy_epr::{Budget, EprError};
 use ivy_fol::intern::{self, FormulaId, Interner};
@@ -139,6 +139,12 @@ impl Inductiveness {
 pub struct Verifier<'p> {
     program: &'p Program,
     oracle: Arc<Oracle>,
+    /// The depth-0 unrolling (initiation queries), compiled on first use.
+    init: OnceLock<Unrolling>,
+    /// The free one-step unrolling shared by the safety, consecution and
+    /// minimal-CTI queries, compiled on first use. Interned ids are
+    /// hash-consed, so a rebuilt copy would be identical.
+    one_step: OnceLock<Unrolling>,
 }
 
 impl<'p> Verifier<'p> {
@@ -150,12 +156,27 @@ impl<'p> Verifier<'p> {
     /// Creates a verifier issuing every query through `oracle` — sharing it
     /// with other engines shares the frame-keyed session cache too.
     pub fn with_oracle(program: &'p Program, oracle: Arc<Oracle>) -> Verifier<'p> {
-        Verifier { program, oracle }
+        Verifier {
+            program,
+            oracle,
+            init: OnceLock::new(),
+            one_step: OnceLock::new(),
+        }
     }
 
     /// The program under verification.
     pub fn program(&self) -> &'p Program {
         self.program
+    }
+
+    /// The depth-0 unrolling: axioms plus the init transition.
+    fn init_unrolling(&self) -> &Unrolling {
+        self.init.get_or_init(|| unroll(self.program, 0))
+    }
+
+    /// The one-step unrolling from an arbitrary axiom-satisfying state.
+    fn one_step_unrolling(&self) -> &Unrolling {
+        self.one_step.get_or_init(|| unroll_free(self.program, 1))
     }
 
     /// The verifier's oracle.
@@ -224,8 +245,8 @@ impl<'p> Verifier<'p> {
     ///
     /// Propagates [`EprError`].
     pub fn check_initiation(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
-        let u = unroll(self.program, 0);
-        let frame = init_frame(&u);
+        let u = self.init_unrolling();
+        let frame = init_frame(u);
         self.oracle.first_sat(
             &frame,
             conjectures.len(),
@@ -252,9 +273,9 @@ impl<'p> Verifier<'p> {
     ///
     /// Propagates [`EprError`].
     pub fn check_safety(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
-        let u = unroll_free(self.program, 1);
-        let frame = self.invariant_frame(&u, conjectures);
-        let cases = safety_cases(self.program, &u);
+        let u = self.one_step_unrolling();
+        let frame = self.invariant_frame(u, conjectures);
+        let cases = safety_cases(self.program, u);
         self.oracle.first_sat(
             &frame,
             cases.len(),
@@ -275,8 +296,8 @@ impl<'p> Verifier<'p> {
     ///
     /// Propagates [`EprError`].
     pub fn check_consecution(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
-        let u = unroll_free(self.program, 1);
-        let mut frame = self.invariant_frame(&u, conjectures);
+        let u = self.one_step_unrolling();
+        let mut frame = self.invariant_frame(u, conjectures);
         // The transition step is shared by every conjecture's query: it is
         // frame, not goal.
         frame.push("step", u.steps[0]);
@@ -289,7 +310,7 @@ impl<'p> Verifier<'p> {
                     not_renamed(&conjectures[i].formula, &u.maps[1]),
                 )
             },
-            |i, model| self.consecution_cti(&u, &conjectures[i], &model.structure),
+            |i, model| self.consecution_cti(u, &conjectures[i], &model.structure),
         )
     }
 
@@ -328,25 +349,25 @@ impl<'p> Verifier<'p> {
     ) -> Result<Option<ViolationSession<'p, '_>>, EprError> {
         let (u, frame, bad) = match violation {
             Violation::Initiation { conjecture } => {
-                let u = unroll(self.program, 0);
-                let frame = init_frame(&u);
+                let u = self.init_unrolling();
+                let frame = init_frame(u);
                 let bad = not_renamed(&find_formula(conjectures, conjecture), &u.maps[0]);
                 (u, frame, bad)
             }
             Violation::Safety { property } => {
-                let u = unroll_free(self.program, 1);
-                let Some((_, bad)) = safety_cases(self.program, &u)
+                let u = self.one_step_unrolling();
+                let Some((_, bad)) = safety_cases(self.program, u)
                     .into_iter()
                     .find(|(label, _)| label == property)
                 else {
                     return Ok(None);
                 };
-                let frame = self.invariant_frame(&u, conjectures);
+                let frame = self.invariant_frame(u, conjectures);
                 (u, frame, bad)
             }
             Violation::Consecution { conjecture, .. } => {
-                let u = unroll_free(self.program, 1);
-                let mut frame = self.invariant_frame(&u, conjectures);
+                let u = self.one_step_unrolling();
+                let mut frame = self.invariant_frame(u, conjectures);
                 frame.push("step", u.steps[0]);
                 let bad = not_renamed(&find_formula(conjectures, conjecture), &u.maps[1]);
                 (u, frame, bad)
@@ -389,7 +410,7 @@ fn init_frame(u: &Unrolling) -> Frame {
 /// [`Verifier::violation_session`]).
 pub(crate) struct ViolationSession<'p, 'o> {
     program: &'p Program,
-    u: Unrolling,
+    u: &'o Unrolling,
     handle: FrameSession<'o>,
     violation: Violation,
 }

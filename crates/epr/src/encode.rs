@@ -8,7 +8,8 @@
 //! equality atoms, directly or through congruence), which keeps the
 //! transitivity/congruence axioms from exploding over large universes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use ivy_fol::intern::{FormulaId, FormulaNode, Interner, TermNode};
 use ivy_fol::{Binding, Formula, Signature, Sym, Term};
@@ -479,11 +480,11 @@ pub struct Encoder {
     seed_pairs: Vec<(TermId, TermId)>,
     finalized: bool,
     /// Clauses added by the lazy repair loop, for dedup.
-    lazy_added: std::collections::HashSet<LazyAxiom>,
+    lazy_added: AxiomSet,
     /// Reused step-value buffer for template replay (one live replay at a
     /// time; reuse keeps the per-tuple loop allocation-free).
     scratch_vals: Vec<TermId>,
-    /// Reused atom-argument buffer for the `TNode::Rel` probe.
+    /// Reused argument buffer for atom probes and term-table lookups.
     scratch_args: Vec<TermId>,
     /// Reused literal buffer for the clausal template fast path.
     scratch_clause: Vec<Lit>,
@@ -526,6 +527,39 @@ enum LazyAxiom {
     RelCongruence(Var, Var),
 }
 
+/// Multiply-rotate hasher for the `lazy_added` dedup set. Its keys are
+/// small integer tuples private to the encoder and the set is never
+/// iterated, so it needs neither SipHash's flood resistance nor a stable
+/// order; membership answers are the same under any hasher.
+#[derive(Default)]
+struct AxiomHasher(u64);
+
+impl std::hash::Hasher for AxiomHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type AxiomSet = HashSet<LazyAxiom, BuildHasherDefault<AxiomHasher>>;
+
 impl Encoder {
     /// Creates an encoder over the given universe.
     pub fn new(table: TermTable) -> Encoder {
@@ -541,7 +575,7 @@ impl Encoder {
             eq_vars: BTreeMap::new(),
             seed_pairs: Vec::new(),
             finalized: false,
-            lazy_added: std::collections::HashSet::new(),
+            lazy_added: AxiomSet::default(),
             scratch_vals: Vec::new(),
             scratch_args: Vec::new(),
             scratch_clause: Vec::new(),
@@ -738,7 +772,8 @@ impl Encoder {
     /// positively, under a guard).
     ///
     /// Evaluates the template's ground-term step list under `env` into
-    /// `vals` (cleared first). Returns `false` when an application falls
+    /// `vals` (cleared first); `args` is scratch space for each
+    /// application's argument tuple. Returns `false` when an application falls
     /// outside the universe in bounded mode — the caller must then skip the
     /// instance (nothing has been emitted; step evaluation allocates no
     /// solver state).
@@ -747,15 +782,22 @@ impl Encoder {
     ///
     /// In full mode, panics on applications outside the closed universe (an
     /// internal invariant).
-    fn eval_steps(&self, tpl: &Template, env: &[TermId], vals: &mut Vec<TermId>) -> bool {
+    fn eval_steps(
+        &self,
+        tpl: &Template,
+        env: &[TermId],
+        vals: &mut Vec<TermId>,
+        args: &mut Vec<TermId>,
+    ) -> bool {
         vals.clear();
         vals.reserve(tpl.steps.len());
         for step in &tpl.steps {
             let v = match step {
                 TStep::Var(i) => env[*i],
-                TStep::App(f, args) => {
-                    let a: Vec<TermId> = args.iter().map(|&j| vals[j]).collect();
-                    match self.table.get_owned(*f, a) {
+                TStep::App(f, arg_steps) => {
+                    args.clear();
+                    args.extend(arg_steps.iter().map(|&j| vals[j]));
+                    match self.table.get(f, args) {
                         Some(id) => id,
                         None if self.bound.is_some() => return false,
                         None => panic!("application of {f} outside closed universe"),
@@ -783,7 +825,10 @@ impl Encoder {
     /// [`Encoder::skipped_instances`].
     pub(crate) fn assert_template(&mut self, tpl: &Template, env: &[TermId], guard: Lit) {
         let mut vals = std::mem::take(&mut self.scratch_vals);
-        if !self.eval_steps(tpl, env, &mut vals) {
+        let mut args = std::mem::take(&mut self.scratch_args);
+        let complete = self.eval_steps(tpl, env, &mut vals, &mut args);
+        self.scratch_args = args;
+        if !complete {
             self.scratch_vals = vals;
             self.skipped += 1;
             return;
@@ -1276,8 +1321,170 @@ impl Encoder {
             added += 1;
         }
 
-        // Relation congruence: same symbol, argwise model-equal tuples,
-        // differing truth values.
+        self.repair_relation_congruence(&mut uf, added, cap)
+    }
+
+    /// Relation congruence: same symbol, argwise model-equal tuples,
+    /// differing truth values. Adds the violated axioms on top of the
+    /// `added` clauses of the round so far and returns the new total.
+    ///
+    /// The clause stream is exactly that of the pairwise scan over
+    /// `(symbol, class signature)` buckets in `BTreeMap` order, each bucket
+    /// in `rel_atoms` order (kept as a test reference), but the work is
+    /// proportional to the atoms that share a class and to the pairs that
+    /// differ in value:
+    ///
+    /// * `rel_atoms` is contiguous per symbol (`Sym` orders by name), so
+    ///   each symbol's atoms are bucketed on their own, by sorting their
+    ///   indices by class signature with the index as tie-break.
+    /// * An atom whose arguments all sit in singleton classes is alone in
+    ///   its bucket and is skipped.
+    /// * Only value-differing pairs are enumerated. The per-round cap is
+    ///   checked before each of them, which stops at the same pair as
+    ///   checking before every pair.
+    /// * Pairs are planned first and emitted afterwards from one reused
+    ///   buffer, calling `eq_lit` in the same order as the pairwise scan.
+    fn repair_relation_congruence(
+        &mut self,
+        uf: &mut UnionFind,
+        mut added: usize,
+        cap: Option<usize>,
+    ) -> usize {
+        let over = |added: usize| cap.is_some_and(|c| added >= c);
+        let n = self.table.len();
+        let roots: Vec<usize> = (0..n).map(|t| uf.find(t)).collect();
+        let mut class_size = vec![0u32; n];
+        for &r in &roots {
+            class_size[r] += 1;
+        }
+        let shared = |t: TermId| class_size[roots[t]] > 1;
+        let value = |v: Var| match self.solver.model_value(v) {
+            Some(false) => 0usize,
+            Some(true) => 1,
+            None => 2,
+        };
+
+        // Plan: `(v1, v2, end)` per pair, whose guard is the argument pairs
+        // `guard_pairs[previous end..end]`.
+        let mut plan: Vec<(Var, Var, usize)> = Vec::new();
+        let mut guard_pairs: Vec<(TermId, TermId)> = Vec::new();
+        // One symbol's atoms with a shared argument.
+        let mut run: Vec<(&[TermId], Var)> = Vec::new();
+        // Indices into `run`, sorted into buckets; they fit `u32` because
+        // every atom owns a distinct SAT variable.
+        let mut order: Vec<u32> = Vec::new();
+        let mut by_value: [Vec<u32>; 3] = Default::default();
+        let mut atoms = self.rel_atoms.iter().peekable();
+        'scan: while let Some(&(&(sym, _), _)) = atoms.peek() {
+            run.clear();
+            while let Some(((_, args), &v)) = atoms.next_if(|((s, _), _)| *s == sym) {
+                if args.iter().any(|&a| shared(a)) {
+                    run.push((args, v));
+                }
+            }
+            // The class signature, compared in place: a signature buffer
+            // raised the peak RSS of perfbench's Chord session by 3.4 MB.
+            let sig = |i: u32| run[i as usize].0.iter().map(|&a| roots[a]);
+            order.clear();
+            order.extend(0..run.len() as u32);
+            order.sort_unstable_by(|&x, &y| sig(x).cmp(sig(y)).then(x.cmp(&y)));
+            let mut start = 0;
+            while start < order.len() {
+                let mut end = start + 1;
+                while end < order.len() && sig(order[start]).eq(sig(order[end])) {
+                    end += 1;
+                }
+                let bucket = &order[start..end];
+                start = end;
+                for list in &mut by_value {
+                    list.clear();
+                }
+                for (p, &i) in bucket.iter().enumerate() {
+                    by_value[value(run[i as usize].1)].push(p as u32);
+                }
+                if by_value.iter().filter(|l| !l.is_empty()).count() < 2 {
+                    continue;
+                }
+                for (p, &i) in bucket.iter().enumerate() {
+                    let (args1, v1) = run[i as usize];
+                    // The partners of `p`: later positions holding one of
+                    // the other two values, merged in position order.
+                    let (o1, o2) = match value(v1) {
+                        0 => (&by_value[1], &by_value[2]),
+                        1 => (&by_value[0], &by_value[2]),
+                        _ => (&by_value[0], &by_value[1]),
+                    };
+                    let mut i1 = o1.partition_point(|&q| q as usize <= p);
+                    let mut i2 = o2.partition_point(|&q| q as usize <= p);
+                    loop {
+                        let q = match (o1.get(i1), o2.get(i2)) {
+                            (Some(&a), Some(&b)) if a < b => {
+                                i1 += 1;
+                                a
+                            }
+                            (_, Some(&b)) => {
+                                i2 += 1;
+                                b
+                            }
+                            (Some(&a), None) => {
+                                i1 += 1;
+                                a
+                            }
+                            (None, None) => break,
+                        };
+                        if over(added) {
+                            break 'scan;
+                        }
+                        let (args2, v2) = run[bucket[q as usize] as usize];
+                        let key = LazyAxiom::RelCongruence(v1.min(v2), v1.max(v2));
+                        if !self.lazy_added.insert(key) {
+                            continue;
+                        }
+                        guard_pairs.extend(
+                            args1
+                                .iter()
+                                .copied()
+                                .zip(args2.iter().copied())
+                                .filter(|(x, y)| x != y),
+                        );
+                        plan.push((v1, v2, guard_pairs.len()));
+                        added += 2;
+                    }
+                }
+            }
+        }
+
+        let mut clause = std::mem::take(&mut self.scratch_clause);
+        let mut from = 0;
+        for (v1, v2, to) in plan {
+            clause.clear();
+            for &(x, y) in &guard_pairs[from..to] {
+                let e = self.eq_lit(x, y);
+                clause.push(!e);
+            }
+            from = to;
+            let guard = clause.len();
+            clause.extend([v1.neg(), v2.pos()]);
+            self.solver.add_clause(clause.iter().copied());
+            clause.truncate(guard);
+            clause.extend([v2.neg(), v1.pos()]);
+            self.solver.add_clause(clause.iter().copied());
+        }
+        self.scratch_clause = clause;
+        added
+    }
+
+    /// The pairwise relation-congruence scan that
+    /// [`Encoder::repair_relation_congruence`] must reproduce clause for
+    /// clause: it re-buckets every atom and visits every pair in a bucket.
+    #[cfg(test)]
+    fn repair_relation_congruence_reference(
+        &mut self,
+        uf: &mut UnionFind,
+        mut added: usize,
+        cap: Option<usize>,
+    ) -> usize {
+        let over = |added: usize| cap.is_some_and(|c| added >= c);
         let mut buckets: AtomBuckets = BTreeMap::new();
         for ((sym, args), var) in self.rel_atoms.clone() {
             let sig: Vec<usize> = args.iter().map(|&a| uf.find(a)).collect();
@@ -1366,7 +1573,7 @@ impl ModelParts<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivy_fol::Signature;
+    use ivy_fol::{Signature, Sort};
     use ivy_sat::SolveResult;
 
     fn simple_table() -> (Signature, TermTable) {
@@ -1478,5 +1685,195 @@ mod tests {
         let axioms = enc.finalize_equality();
         assert_eq!(axioms, 0, "no equality atoms, no axioms");
         assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
+    }
+
+    /// Deterministic splitmix64 generator.
+    struct Gen(u64);
+
+    impl Gen {
+        fn new(seed: u64) -> Gen {
+            Gen(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// A random relation-congruence scenario over sorts `s` and `t`:
+    /// relations of arity 0–3, random atoms with random forced values,
+    /// random forced equalities, short random clauses, and some pairs
+    /// already in `lazy_added`. With `collapse`, every `s` term is forced
+    /// equal to the first, so sort `s` is a single class.
+    fn random_encoder(seed: u64, collapse: bool) -> Encoder {
+        let mut g = Gen::new(seed);
+        let mut sig = Signature::new();
+        sig.add_sort("s").unwrap();
+        sig.add_sort("t").unwrap();
+        for i in 0..3 + g.below(4) {
+            sig.add_constant(format!("s{i}").as_str(), "s").unwrap();
+        }
+        for i in 0..2 + g.below(3) {
+            sig.add_constant(format!("t{i}").as_str(), "t").unwrap();
+        }
+        let rels = [
+            sig.add_relation("p", [] as [&str; 0]).unwrap(),
+            sig.add_relation("q", ["s"]).unwrap(),
+            sig.add_relation("r", ["s", "t"]).unwrap(),
+            sig.add_relation("u", ["s", "s", "t"]).unwrap(),
+        ];
+        let table = TermTable::build(&sig);
+        let s_terms = table.of_sort(&Sort::from("s")).to_vec();
+        let t_terms = table.of_sort(&Sort::from("t")).to_vec();
+        let mut enc = Encoder::new(table);
+        let pick = |g: &mut Gen, pool: &[TermId]| pool[g.below(pool.len())];
+
+        // Distinct atoms per relation, each with its forced value, if any.
+        let mut atoms: Vec<Vec<(Var, Option<bool>)>> = vec![Vec::new(); rels.len()];
+        for _ in 0..32 {
+            let k = g.below(rels.len());
+            let args: Vec<TermId> = match k {
+                0 => vec![],
+                1 => vec![pick(&mut g, &s_terms)],
+                2 => vec![pick(&mut g, &s_terms), pick(&mut g, &t_terms)],
+                _ => vec![
+                    pick(&mut g, &s_terms),
+                    pick(&mut g, &s_terms),
+                    pick(&mut g, &t_terms),
+                ],
+            };
+            let v = enc.rel_var(&rels[k], &args);
+            if atoms[k].iter().any(|&(w, _)| w == v) {
+                continue;
+            }
+            let forced = match g.below(3) {
+                0 => None,
+                r => Some(r == 1),
+            };
+            if let Some(value) = forced {
+                enc.add_clause([v.lit(value)]);
+            }
+            atoms[k].push((v, forced));
+        }
+        let all: Vec<Var> = atoms.iter().flatten().map(|&(v, _)| v).collect();
+        let mut eqs: Vec<Lit> = Vec::new();
+        for pool in [&s_terms, &t_terms] {
+            for _ in 0..pool.len() {
+                let (x, y) = (pick(&mut g, pool), pick(&mut g, pool));
+                if x != y {
+                    let e = enc.eq_lit(x, y);
+                    eqs.push(e);
+                    if g.below(2) == 0 {
+                        enc.add_clause([e]);
+                    }
+                }
+            }
+        }
+        if collapse {
+            for &x in &s_terms[1..] {
+                let e = enc.eq_lit(s_terms[0], x);
+                enc.add_clause([e]);
+            }
+        }
+        for _ in 0..6 {
+            if let (Some(&e), Some(&v)) = (
+                eqs.get(g.below(eqs.len().max(1))),
+                all.get(g.below(all.len())),
+            ) {
+                let l = if g.below(2) == 0 { v.pos() } else { v.neg() };
+                enc.add_clause([!e, l]);
+            }
+        }
+        // Mark some opposite-valued pairs as already repaired.
+        for list in &atoms {
+            for (i, &(a, va)) in list.iter().enumerate() {
+                for &(b, vb) in &list[i + 1..] {
+                    if va.is_some() && vb.is_some() && va != vb && g.below(3) == 0 {
+                        enc.lazy_added
+                            .insert(LazyAxiom::RelCongruence(a.min(b), a.max(b)));
+                    }
+                }
+            }
+        }
+        enc
+    }
+
+    /// The bucketed relation-congruence pass emits exactly the clauses of
+    /// the pairwise reference scan, round after round: same return value,
+    /// variable and clause counts, and hence the same next model.
+    #[test]
+    fn relation_congruence_matches_pairwise_reference() {
+        let model = |e: &Encoder| -> Vec<Option<bool>> {
+            (0..e.solver().num_vars())
+                .map(|v| e.solver().model_value(Var(v as u32)))
+                .collect()
+        };
+        let (mut cut, mut emitted) = (0, 0);
+        for seed in 0..300u64 {
+            let mut g = Gen::new(seed ^ 0x5eed);
+            let collapse = seed % 3 == 0;
+            let mut fast = random_encoder(seed, collapse);
+            let mut reference = random_encoder(seed, collapse);
+            for round in 0..12 {
+                let verdict = fast.solver_mut().solve();
+                assert_eq!(
+                    verdict,
+                    reference.solver_mut().solve(),
+                    "seed {seed} round {round}"
+                );
+                assert_eq!(model(&fast), model(&reference), "seed {seed} round {round}");
+                if verdict == SolveResult::Unsat {
+                    break;
+                }
+                if g.below(4) == 0 {
+                    // An atom born after the model has no model value.
+                    let table = fast.table();
+                    let s_terms = table.of_sort(&Sort::from("s"));
+                    let t_terms = table.of_sort(&Sort::from("t"));
+                    let args = [
+                        s_terms[g.below(s_terms.len())],
+                        s_terms[g.below(s_terms.len())],
+                        t_terms[g.below(t_terms.len())],
+                    ];
+                    let u = Sym::new("u");
+                    fast.rel_var(&u, &args);
+                    reference.rel_var(&u, &args);
+                }
+                let cap = match g.below(3) {
+                    0 => None,
+                    1 => Some(2 + g.below(6)),
+                    _ => Some(20 + g.below(40)),
+                };
+                let start = g.below(3);
+                let mut uf = fast.model_parts().equality_classes();
+                let got = fast.repair_relation_congruence(&mut uf, start, cap);
+                let mut uf = reference.model_parts().equality_classes();
+                let want = reference.repair_relation_congruence_reference(&mut uf, start, cap);
+                assert_eq!(got, want, "seed {seed} round {round}");
+                assert_eq!(fast.eq_vars, reference.eq_vars, "seed {seed} round {round}");
+                assert_eq!(fast.solver().num_vars(), reference.solver().num_vars());
+                assert_eq!(
+                    fast.solver().num_clauses(),
+                    reference.solver().num_clauses()
+                );
+                if cap.is_some_and(|c| got >= c) {
+                    cut += 1;
+                }
+                if got == start {
+                    break;
+                }
+                emitted += got - start;
+            }
+        }
+        assert!(cut > 0, "the per-round cap never cut a scan");
+        assert!(emitted > 0, "no congruence clause was ever emitted");
     }
 }

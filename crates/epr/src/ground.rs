@@ -6,7 +6,9 @@
 //! the paper): each application strictly descends the sort order, so term
 //! depth is bounded by the number of sorts.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 use ivy_fol::{Signature, Sort, Sym};
 
@@ -15,13 +17,61 @@ pub type TermId = usize;
 
 /// A ground term: a function symbol applied to previously-built ground terms.
 /// Constants have no arguments.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroundTerm {
     /// The head function symbol (or constant).
     pub sym: Sym,
     /// Argument term ids.
     pub args: Vec<TermId>,
 }
+
+/// A `(symbol, arguments)` view of a ground-term key. The universe index
+/// is probed through `dyn TermKey`, so a lookup by borrowed argument slice
+/// builds no `GroundTerm` (and allocates nothing).
+pub trait TermKey {
+    /// The head symbol and argument ids.
+    fn key(&self) -> (Sym, &[TermId]);
+}
+
+impl TermKey for GroundTerm {
+    fn key(&self) -> (Sym, &[TermId]) {
+        (self.sym, &self.args)
+    }
+}
+
+impl TermKey for (Sym, &[TermId]) {
+    fn key(&self) -> (Sym, &[TermId]) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn TermKey + 'a> for GroundTerm {
+    fn borrow(&self) -> &(dyn TermKey + 'a) {
+        self
+    }
+}
+
+// `HashMap` lookups through `Borrow` require the owned and the borrowed
+// key to hash identically, so both go through `TermKey::key`.
+impl Hash for GroundTerm {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl Hash for dyn TermKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn TermKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn TermKey + '_ {}
 
 /// The finite Herbrand universe of a signature: every ground term, grouped
 /// by sort.
@@ -177,18 +227,7 @@ impl TermTable {
 
     /// Looks up a ground term.
     pub fn get(&self, sym: &Sym, args: &[TermId]) -> Option<TermId> {
-        self.index
-            .get(&GroundTerm {
-                sym: *sym,
-                args: args.to_vec(),
-            })
-            .copied()
-    }
-
-    /// Like [`TermTable::get`] but takes the argument vector by value,
-    /// avoiding the key allocation on hot lookup paths.
-    pub fn get_owned(&self, sym: Sym, args: Vec<TermId>) -> Option<TermId> {
-        self.index.get(&GroundTerm { sym, args }).copied()
+        self.index.get(&(*sym, args) as &dyn TermKey).copied()
     }
 
     /// The term with the given id.

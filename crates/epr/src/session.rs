@@ -27,7 +27,7 @@
 //! theory-valid level-0 clauses, so they remain sound for every future
 //! query regardless of which groups it enables.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::xform::Block;
@@ -603,17 +603,13 @@ impl EprSession {
                 EprOutcome::Sat(Box::new(Model { structure }))
             }
             LazyResult::Unsat => {
+                let labels: HashMap<Lit, &str> = guards.iter().copied().collect();
                 let core: Vec<String> = self
                     .enc
                     .solver()
                     .unsat_core()
                     .iter()
-                    .filter_map(|l| {
-                        guards
-                            .iter()
-                            .find(|(a, _)| a == l)
-                            .map(|(_, label)| label.to_string())
-                    })
+                    .filter_map(|l| labels.get(l).map(|label| label.to_string()))
                     .collect();
                 EprOutcome::Unsat(core)
             }

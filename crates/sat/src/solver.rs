@@ -187,6 +187,15 @@ impl Watch {
     }
 }
 
+/// Releases the slack of a watch list that lost most of its entries, so
+/// capacity stays within `2·len + 8`. Watches migrate away in bulk during
+/// propagation; without this, every list would keep its high-water mark.
+fn shrink_watch_list(wl: &mut Vec<Watch>) {
+    if wl.capacity() > 2 * wl.len() + 8 {
+        wl.shrink_to_fit();
+    }
+}
+
 /// Indexed max-heap over variable activities (the VSIDS order).
 #[derive(Clone, Debug, Default)]
 struct VarHeap {
@@ -627,10 +636,11 @@ impl Solver {
                 self.unchecked_enqueue(first, Some(cref));
                 i += 1;
             }
-            self.watches[false_lit.index()].append(&mut watch_list);
-            // Note: append puts processed watches back *after* any watches
-            // added during this loop (none target false_lit), order is
-            // irrelevant for correctness.
+            // New watches only go to non-false literals, so the slot is
+            // still empty: move the list back instead of copying it.
+            debug_assert!(self.watches[false_lit.index()].is_empty());
+            shrink_watch_list(&mut watch_list);
+            self.watches[false_lit.index()] = watch_list;
             if conflict.is_some() {
                 return conflict;
             }
@@ -957,6 +967,7 @@ impl Solver {
             // Watches of deleted clauses are purged lazily by propagation;
             // drop any stragglers now so every remaining cref forwards.
             wl.retain(|w| old[w.clause().0 as usize] & DELETED_BIT == 0);
+            shrink_watch_list(wl);
             for w in wl.iter_mut() {
                 let tag = w.cref.0 & BINARY_TAG;
                 w.cref = ClauseRef(fwd(w.clause()).0 | tag);
@@ -1142,7 +1153,7 @@ impl Solver {
                 Some(p) => p,
                 None => match self.pick_branch_var() {
                     None => {
-                        self.model = self.assign.clone();
+                        self.model.clone_from(&self.assign);
                         return Some(SolveResult::Sat);
                     }
                     Some(v) => v.lit(self.polarity[v.index()]),
@@ -1559,6 +1570,36 @@ mod tests {
         );
         // The compacted solver still answers correctly, incrementally.
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn watch_lists_release_capacity_after_migration() {
+        // Every long clause first watches `x` and `y`; falsifying them
+        // migrates all of those watches to the clause tails in one pass.
+        let mut s = Solver::new();
+        let x = s.new_var();
+        let y = s.new_var();
+        let n = 2_000;
+        let tails: Vec<(Var, Var)> = (0..n).map(|_| (s.new_var(), s.new_var())).collect();
+        for &(a, b) in &tails {
+            s.add_clause([x.pos(), y.pos(), a.pos(), b.pos()]);
+        }
+        assert!(s.watches[x.pos().index()].len() >= n);
+        let within = |s: &Solver| s.watches.iter().all(|wl| wl.capacity() <= 2 * wl.len() + 8);
+        assert_eq!(
+            s.solve_with_assumptions(&[x.neg(), y.neg()]),
+            SolveResult::Sat
+        );
+        assert!(s.watches[x.pos().index()].len() < n);
+        assert!(within(&s), "a watch list kept its high-water capacity");
+        // Migrating back the other way keeps the bound too.
+        let first_tails: Vec<Lit> = tails.iter().map(|(a, _)| a.neg()).collect();
+        let second_tails: Vec<Lit> = tails.iter().map(|(_, b)| b.neg()).collect();
+        let mut assumptions = first_tails;
+        assumptions.extend(second_tails);
+        assert_eq!(s.solve_with_assumptions(&assumptions), SolveResult::Sat);
+        assert!(s.model_value(x) == Some(true) || s.model_value(y) == Some(true));
+        assert!(within(&s), "a watch list kept its high-water capacity");
     }
 
     #[test]
