@@ -132,10 +132,12 @@ impl<'p> Verifier<'p> {
         // Equality-heavy cardinality queries can be much harder than the
         // underlying CTI query; minimization is best-effort UX (a
         // non-minimal CTI is still a CTI). Each query runs under a
-        // repair-round budget, each measure under a wall-clock budget, and
-        // the search descends from the current witness value — one
-        // (expensive) UNSAT query per measure instead of one per value.
-        const ROUND_BUDGET: Option<usize> = Some(30);
+        // conflict budget, each measure under a wall-clock budget, and the
+        // search descends from the current witness value — one
+        // (expensive) UNSAT query per measure instead of one per value. A
+        // query that runs out of budget is inconclusive and ends its
+        // measure's descent.
+        const QUERY_CONFLICTS: u64 = 20_000;
         const MEASURE_BUDGET: std::time::Duration = std::time::Duration::from_secs(15);
         // One oracle handle carries the whole descent: the violation's frame
         // matches the inductiveness check that found it, and each candidate
@@ -146,7 +148,7 @@ impl<'p> Verifier<'p> {
         // conjecture never change across the descent (only the witness
         // shrinks), so the frame stays valid.
         let Some(mut session) =
-            self.violation_session(conjectures, &best.violation, ROUND_BUDGET)?
+            self.violation_session(conjectures, &best.violation, QUERY_CONFLICTS)?
         else {
             // The violation names no known safety case (cannot happen for a
             // CTI we just produced); return it unminimized.
@@ -168,9 +170,9 @@ impl<'p> Verifier<'p> {
                 match session.solve(&candidate_extra) {
                     Ok(Some(cti)) => best = cti,
                     Ok(None) => break,
-                    Err(EprError::RepairLimit { .. })
-                    | Err(EprError::TooManyInstances { .. })
-                    | Err(EprError::Inconclusive(_)) => break,
+                    Err(EprError::TooManyInstances { .. }) | Err(EprError::Inconclusive(_)) => {
+                        break
+                    }
                     Err(e) => return Err(e),
                 }
             }

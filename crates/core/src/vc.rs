@@ -339,13 +339,15 @@ impl<'p> Verifier<'p> {
     /// check's frame (so under [`QueryStrategy::Session`] the descent
     /// recycles the very grounding that found the CTI), and the violation
     /// rides on top as a handle group; each [`ViolationSession::solve`]
-    /// call only adds the candidate constraint as a retirable group.
+    /// call only adds the candidate constraint as a retirable group. Each
+    /// query runs under the oracle's budget with its conflict cap lowered
+    /// to `max_conflicts`.
     /// Returns `None` when the violation does not name a known safety case.
     pub(crate) fn violation_session(
         &self,
         conjectures: &[Conjecture],
         violation: &Violation,
-        round_limit: Option<usize>,
+        max_conflicts: u64,
     ) -> Result<Option<ViolationSession<'p, '_>>, EprError> {
         let (u, frame, bad) = match violation {
             Violation::Initiation { conjecture } => {
@@ -374,7 +376,13 @@ impl<'p> Verifier<'p> {
             }
         };
         let mut handle = self.oracle.open(&frame)?;
-        handle.set_lazy_round_limit(round_limit);
+        let mut budget = self.oracle.budget();
+        budget.max_conflicts = Some(
+            budget
+                .max_conflicts
+                .map_or(max_conflicts, |c| c.min(max_conflicts)),
+        );
+        handle.set_budget(budget);
         handle.assert("violation", bad)?;
         Ok(Some(ViolationSession {
             program: self.program,
@@ -418,8 +426,8 @@ pub(crate) struct ViolationSession<'p, 'o> {
 impl ViolationSession<'_, '_> {
     /// Re-solves the violation with `extra` constraints (over the base
     /// vocabulary) conjoined at the CTI state. The constraint group is
-    /// retired afterwards — also on a repair-limit error, so the handle
-    /// survives best-effort budgeted queries.
+    /// retired afterwards — also on an error, so the handle survives
+    /// best-effort budgeted queries.
     pub(crate) fn solve(&mut self, extra: &[Formula]) -> Result<Option<Cti>, EprError> {
         let state_map = &self.u.maps[0];
         let constraint = Interner::with(|it| {

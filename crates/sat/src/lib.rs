@@ -6,7 +6,9 @@
 //! * [`Solver`]: a CDCL solver (watched literals, 1UIP learning, VSIDS +
 //!   phase saving, Luby restarts, learnt-clause reduction) with
 //!   **assumption-based incremental solving and UNSAT cores** — cores drive
-//!   Ivy's *BMC + Auto Generalize* step (Section 4.5 of the paper).
+//!   Ivy's *BMC + Auto Generalize* step (Section 4.5 of the paper) — and a
+//!   [`Theory`] hook that adds lemmas inside the search (`ivy-epr` runs
+//!   equality there).
 //! * [`Cnf`]: a plain clause container, the target of Tseitin encoding in
 //!   `ivy-epr`.
 //! * [`solve_dpll`] / [`solve_brute_force`]: reference solvers used as
@@ -38,4 +40,4 @@ pub use cnf::Cnf;
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use dpll::{solve_brute_force, solve_dpll};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Interrupt, SolveResult, Solver, Stats};
+pub use solver::{Interrupt, SolveResult, Solver, Stats, Theory, TheoryCtx};

@@ -4,7 +4,7 @@
 //! name the same violation, and incremental BMC — cold, and
 //! warm over a pooled unrolling — must agree with fresh per-depth BMC. This
 //! is the end-to-end guarantee that solver-state reuse (shared frames,
-//! assumption groups, learnt clauses, repaired equality axioms) never
+//! assumption groups, learnt clauses, equality lemmas) never
 //! changes an answer.
 
 use ivy_core::{Bmc, Conjecture, Inductiveness, QueryStrategy, Trace, Verifier, Violation};
