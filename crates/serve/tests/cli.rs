@@ -170,6 +170,7 @@ fn profile_flag_writes_schema_valid_report() {
     assert!(json.contains("\"outcome\": \"inductive\""), "{json}");
     assert!(json.contains("\"phases\""), "{json}");
     assert!(json.contains("\"counters\""), "{json}");
+    assert!(json.contains("\"final_check_firings\": 0"), "{json}");
     std::fs::remove_file(&profile).ok();
 }
 

@@ -148,6 +148,12 @@ fn verify_inductive_with_cache_and_profile_blocks() {
         profile.get("schema").and_then(Json::as_str),
         Some("ivy-profile-v1")
     );
+    let grounding = json_field(profile, "grounding");
+    assert_eq!(
+        grounding.get("final_check_firings").and_then(Json::as_u64),
+        Some(0),
+        "{resp}"
+    );
     let cache = json_field(&resp, "cache");
     let miss1 = cache.get("frame_misses").and_then(Json::as_u64).unwrap();
     assert!(miss1 > 0, "a cold verify must build sessions: {resp}");
