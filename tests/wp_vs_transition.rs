@@ -34,7 +34,7 @@ fn wp_consecution_holds(p: &Program, inv: &Formula) -> bool {
     q.assert_labeled("axiom", &axiom).unwrap();
     q.assert_labeled("inv", inv).unwrap();
     q.assert_labeled("neg_wp", &Formula::not(weakest)).unwrap();
-    matches!(q.check().unwrap(), EprOutcome::Unsat(_))
+    matches!(q.check(), EprOutcome::Unsat(_))
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn wp_initiation_matches_verifier() {
         let mut q = EprSession::new(&p.sig).unwrap();
         q.assert_labeled("axiom", &axiom).unwrap();
         q.assert_labeled("neg", &Formula::not(weakest)).unwrap();
-        let via_wp = matches!(q.check().unwrap(), EprOutcome::Unsat(_));
+        let via_wp = matches!(q.check(), EprOutcome::Unsat(_));
         let via_trans = v
             .check_initiation(&[Conjecture::new("I", inv)])
             .unwrap()
