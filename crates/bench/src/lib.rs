@@ -1,12 +1,10 @@
 //! Shared harness code for regenerating the paper's tables and figures.
 //!
-//! The `figures` binary (see `src/bin/figures.rs`) prints each table/figure;
-//! the timed benches under `benches/` measure solver and procedure
-//! performance and the ablations called out in DESIGN.md.
+//! The `figures` binary (see `src/bin/figures.rs`) prints each table/figure
+//! and `fig14_one` runs one Figure 14 row. End-to-end timing lives in
+//! `perfbench/`.
 
 #![warn(missing_docs)]
-
-pub mod reference;
 
 use std::time::{Duration, Instant};
 
@@ -19,8 +17,6 @@ pub struct ProtocolEntry {
     pub name: &'static str,
     /// The model.
     pub program: Program,
-    /// The model's RML source, for clients that ship it over a wire.
-    pub source: &'static str,
     /// A known-correct universal inductive invariant (target for the oracle
     /// user). The first clauses are the safety properties.
     pub invariant: Vec<Conjecture>,
@@ -35,62 +31,27 @@ pub struct ProtocolEntry {
 /// All six evaluation protocols (Section 5.1), in Figure 14 order.
 pub fn protocols() -> Vec<ProtocolEntry> {
     use ivy_protocols as p;
-    vec![
-        ProtocolEntry {
-            name: "Leader election in ring",
-            program: p::leader::program(),
-            source: p::leader::SOURCE,
-            invariant: p::leader::invariant(),
-            measures: p::leader::measures(),
-            oracle_bound: 3,
-            paper: (2, 5, 3, 12, 3),
-        },
-        ProtocolEntry {
-            name: "Lock server",
-            program: p::lock_server::program(),
-            source: p::lock_server::SOURCE,
-            invariant: p::lock_server::invariant(),
-            measures: p::lock_server::measures(),
-            oracle_bound: 2,
-            paper: (5, 11, 3, 21, 8),
-        },
-        ProtocolEntry {
-            name: "Distributed lock protocol",
-            program: p::distributed_lock::program(),
-            source: p::distributed_lock::SOURCE,
-            invariant: p::distributed_lock::invariant(),
-            measures: p::distributed_lock::measures(),
-            oracle_bound: 2,
-            paper: (2, 5, 3, 26, 12),
-        },
-        ProtocolEntry {
-            name: "Learning switch",
-            program: p::learning_switch::program(),
-            source: p::learning_switch::SOURCE,
-            invariant: p::learning_switch::invariant(),
-            measures: p::learning_switch::measures(),
-            oracle_bound: 1,
-            paper: (2, 5, 11, 18, 3),
-        },
-        ProtocolEntry {
-            name: "Database chain replication",
-            program: p::db_chain::program(),
-            source: p::db_chain::SOURCE,
-            invariant: p::db_chain::invariant(),
-            measures: p::db_chain::measures(),
-            oracle_bound: 1,
-            paper: (4, 13, 11, 35, 7),
-        },
-        ProtocolEntry {
-            name: "Chord ring maintenance",
-            program: p::chord::program(),
-            source: p::chord::SOURCE,
-            invariant: p::chord::invariant(),
-            measures: p::chord::measures(),
-            oracle_bound: 2,
-            paper: (1, 13, 35, 46, 4),
-        },
-    ]
+    // (measures, oracle_bound, paper), in the order of `p::evaluation()`.
+    let rows = [
+        (p::leader::measures(), 3, (2, 5, 3, 12, 3)),
+        (p::lock_server::measures(), 2, (5, 11, 3, 21, 8)),
+        (p::distributed_lock::measures(), 2, (2, 5, 3, 26, 12)),
+        (p::learning_switch::measures(), 1, (2, 5, 11, 18, 3)),
+        (p::db_chain::measures(), 1, (4, 13, 11, 35, 7)),
+        (p::chord::measures(), 2, (1, 13, 35, 46, 4)),
+    ];
+    p::evaluation()
+        .into_iter()
+        .zip(rows)
+        .map(|(e, (measures, oracle_bound, paper))| ProtocolEntry {
+            name: e.name,
+            program: e.program,
+            invariant: e.invariant,
+            measures,
+            oracle_bound,
+            paper,
+        })
+        .collect()
 }
 
 /// One measured row of our Figure 14 reproduction.
@@ -176,50 +137,4 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// A criterion-free micro-benchmark harness (the build environment vendors
-/// no external crates). Runs each case a fixed number of samples and prints
-/// min/median/mean wall-clock in a stable, grep-friendly format.
-pub mod harness {
-    use std::time::{Duration, Instant};
-
-    /// Measured timings of one benchmark case.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Sample {
-        /// Fastest observed iteration.
-        pub min: Duration,
-        /// Median iteration.
-        pub median: Duration,
-        /// Arithmetic mean over all iterations.
-        pub mean: Duration,
-    }
-
-    /// Runs `f` once to warm up, then `samples` measured times.
-    pub fn measure(samples: usize, mut f: impl FnMut()) -> Sample {
-        f();
-        let mut times: Vec<Duration> = (0..samples.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .collect();
-        times.sort();
-        let min = times[0];
-        let median = times[times.len() / 2];
-        let total: Duration = times.iter().sum();
-        let mean = total / times.len() as u32;
-        Sample { min, median, mean }
-    }
-
-    /// Measures and prints one `group/name` line.
-    pub fn bench_case(group: &str, name: &str, samples: usize, f: impl FnMut()) -> Sample {
-        let s = measure(samples, f);
-        println!(
-            "{group}/{name}: min {:?}  median {:?}  mean {:?}  ({samples} samples)",
-            s.min, s.median, s.mean
-        );
-        s
-    }
 }

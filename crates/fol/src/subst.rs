@@ -59,9 +59,9 @@ pub fn all_var_names(f: &Formula, out: &mut BTreeSet<Sym>) {
     }
 }
 
-/// The original tree-walking implementations, kept verbatim as the
-/// executable specification for the interned fast path (property tests
-/// compare the two; the bench baselines call these directly).
+/// The original tree-walking variable substitution, kept as the executable
+/// specification for the interned fast path (`tests/intern_prop.rs`
+/// compares the two).
 pub mod reference {
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -149,306 +149,6 @@ pub mod reference {
         }
         (new_bs, subst_vars(body, &inner))
     }
-
-    /// Replaces the nullary function symbol (program variable) `name` by `term`,
-    /// renaming any binder that would capture a variable of `term`.
-    pub fn subst_constant(f: &Formula, name: &Sym, term: &Term) -> Formula {
-        let mut term_vars = BTreeSet::new();
-        term.collect_vars(&mut term_vars);
-        subst_constant_inner(f, name, term, &term_vars)
-    }
-
-    fn subst_constant_term(t: &Term, name: &Sym, term: &Term, tvars: &BTreeSet<Sym>) -> Term {
-        match t {
-            Term::Var(_) => t.clone(),
-            Term::App(g, args) if g == name && args.is_empty() => term.clone(),
-            Term::App(g, args) => Term::App(
-                *g,
-                args.iter()
-                    .map(|a| subst_constant_term(a, name, term, tvars))
-                    .collect(),
-            ),
-            Term::Ite(c, a, b) => Term::Ite(
-                Box::new(subst_constant_inner(c, name, term, tvars)),
-                Box::new(subst_constant_term(a, name, term, tvars)),
-                Box::new(subst_constant_term(b, name, term, tvars)),
-            ),
-        }
-    }
-
-    fn subst_constant_inner(
-        f: &Formula,
-        name: &Sym,
-        term: &Term,
-        tvars: &BTreeSet<Sym>,
-    ) -> Formula {
-        match f {
-            Formula::True | Formula::False => f.clone(),
-            Formula::Rel(r, args) => Formula::Rel(
-                *r,
-                args.iter()
-                    .map(|t| subst_constant_term(t, name, term, tvars))
-                    .collect(),
-            ),
-            Formula::Eq(a, b) => Formula::Eq(
-                subst_constant_term(a, name, term, tvars),
-                subst_constant_term(b, name, term, tvars),
-            ),
-            Formula::Not(g) => Formula::Not(Box::new(subst_constant_inner(g, name, term, tvars))),
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| subst_constant_inner(g, name, term, tvars))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| subst_constant_inner(g, name, term, tvars))
-                    .collect(),
-            ),
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(subst_constant_inner(a, name, term, tvars)),
-                Box::new(subst_constant_inner(b, name, term, tvars)),
-            ),
-            Formula::Iff(a, b) => Formula::Iff(
-                Box::new(subst_constant_inner(a, name, term, tvars)),
-                Box::new(subst_constant_inner(b, name, term, tvars)),
-            ),
-            Formula::Forall(bs, body) | Formula::Exists(bs, body) => {
-                if !f.mentions_symbol(name) {
-                    return f.clone();
-                }
-                // Rename binders that collide with the replacement term's
-                // variables, then recurse.
-                let needs_rename = bs.iter().any(|b| tvars.contains(&b.var));
-                let (bs, body) = if needs_rename {
-                    let mut used = tvars.clone();
-                    super::all_var_names(body, &mut used);
-                    let mut renames = BTreeMap::new();
-                    let mut new_bs = Vec::with_capacity(bs.len());
-                    for b in bs {
-                        if tvars.contains(&b.var) {
-                            let fresh = super::fresh_name(b.var.as_str(), &mut used);
-                            renames.insert(b.var, Term::Var(fresh));
-                            new_bs.push(Binding::new(fresh, b.sort));
-                        } else {
-                            new_bs.push(b.clone());
-                        }
-                    }
-                    (new_bs, subst_vars(body, &renames))
-                } else {
-                    (bs.clone(), body.as_ref().clone())
-                };
-                let new_body = Box::new(subst_constant_inner(&body, name, term, tvars));
-                match f {
-                    Formula::Forall(..) => Formula::Forall(bs, new_body),
-                    _ => Formula::Exists(bs, new_body),
-                }
-            }
-        }
-    }
-
-    /// Replaces every atom `r(s̄)` in `f` by `body[s̄/params]`.
-    ///
-    /// `body` must be quantifier-free (as RML's update formulas are), so no
-    /// capture can occur. Argument terms are rewritten first, which matters when
-    /// they contain `ite` conditions mentioning `r`.
-    pub fn rewrite_relation(f: &Formula, rel: &Sym, params: &[Sym], body: &Formula) -> Formula {
-        match f {
-            Formula::True | Formula::False => f.clone(),
-            Formula::Rel(r, args) => {
-                let args: Vec<Term> = args
-                    .iter()
-                    .map(|t| rewrite_relation_term(t, rel, params, body))
-                    .collect();
-                if r == rel {
-                    debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
-                    let map: BTreeMap<Sym, Term> = params.iter().cloned().zip(args).collect();
-                    subst_vars(body, &map)
-                } else {
-                    Formula::Rel(*r, args)
-                }
-            }
-            Formula::Eq(a, b) => Formula::Eq(
-                rewrite_relation_term(a, rel, params, body),
-                rewrite_relation_term(b, rel, params, body),
-            ),
-            Formula::Not(g) => Formula::Not(Box::new(rewrite_relation(g, rel, params, body))),
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| rewrite_relation(g, rel, params, body))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| rewrite_relation(g, rel, params, body))
-                    .collect(),
-            ),
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(rewrite_relation(a, rel, params, body)),
-                Box::new(rewrite_relation(b, rel, params, body)),
-            ),
-            Formula::Iff(a, b) => Formula::Iff(
-                Box::new(rewrite_relation(a, rel, params, body)),
-                Box::new(rewrite_relation(b, rel, params, body)),
-            ),
-            Formula::Forall(bs, g) => {
-                let (bs, g) = rewrite_rel_under_binders(bs, g, rel, params, body);
-                Formula::Forall(bs, Box::new(g))
-            }
-            Formula::Exists(bs, g) => {
-                let (bs, g) = rewrite_rel_under_binders(bs, g, rel, params, body);
-                Formula::Exists(bs, Box::new(g))
-            }
-        }
-    }
-
-    fn rewrite_rel_under_binders(
-        bs: &[Binding],
-        g: &Formula,
-        rel: &Sym,
-        params: &[Sym],
-        body: &Formula,
-    ) -> (Vec<Binding>, Formula) {
-        // `body`'s free variables are `params`, which get fully replaced, so the
-        // only capture risk is a binder shadowing a *free* variable of `body`
-        // beyond params. RML guarantees body's free vars ⊆ params, but we stay
-        // defensive: rename binders clashing with body's non-param free vars.
-        let mut body_free = body.free_vars();
-        for p in params {
-            body_free.remove(p);
-        }
-        if bs.iter().any(|b| body_free.contains(&b.var)) {
-            let mut used = body_free.clone();
-            super::all_var_names(g, &mut used);
-            let mut renames = BTreeMap::new();
-            let mut new_bs = Vec::with_capacity(bs.len());
-            for b in bs {
-                if body_free.contains(&b.var) {
-                    let fresh = super::fresh_name(b.var.as_str(), &mut used);
-                    renames.insert(b.var, Term::Var(fresh));
-                    new_bs.push(Binding::new(fresh, b.sort));
-                } else {
-                    new_bs.push(b.clone());
-                }
-            }
-            let g = subst_vars(g, &renames);
-            (new_bs.clone(), rewrite_relation(&g, rel, params, body))
-        } else {
-            (bs.to_vec(), rewrite_relation(g, rel, params, body))
-        }
-    }
-
-    fn rewrite_relation_term(t: &Term, rel: &Sym, params: &[Sym], body: &Formula) -> Term {
-        match t {
-            Term::Var(_) => t.clone(),
-            Term::App(g, args) => Term::App(
-                *g,
-                args.iter()
-                    .map(|a| rewrite_relation_term(a, rel, params, body))
-                    .collect(),
-            ),
-            Term::Ite(c, a, b) => Term::Ite(
-                Box::new(rewrite_relation(c, rel, params, body)),
-                Box::new(rewrite_relation_term(a, rel, params, body)),
-                Box::new(rewrite_relation_term(b, rel, params, body)),
-            ),
-        }
-    }
-
-    /// Replaces every application `f(s̄)` in the formula by `body[s̄/params]`,
-    /// simultaneously: occurrences of `f` inside `body` itself are left alone,
-    /// which is exactly Hoare-style assignment for `f(x̄) := t(x̄)` (so
-    /// `f(x) := f(x)` is a no-op rather than a loop).
-    pub fn rewrite_function(f: &Formula, func: &Sym, params: &[Sym], body: &Term) -> Formula {
-        match f {
-            Formula::True | Formula::False => f.clone(),
-            Formula::Rel(r, args) => Formula::Rel(
-                *r,
-                args.iter()
-                    .map(|t| rewrite_function_term(t, func, params, body))
-                    .collect(),
-            ),
-            Formula::Eq(a, b) => Formula::Eq(
-                rewrite_function_term(a, func, params, body),
-                rewrite_function_term(b, func, params, body),
-            ),
-            Formula::Not(g) => Formula::Not(Box::new(rewrite_function(g, func, params, body))),
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| rewrite_function(g, func, params, body))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| rewrite_function(g, func, params, body))
-                    .collect(),
-            ),
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(rewrite_function(a, func, params, body)),
-                Box::new(rewrite_function(b, func, params, body)),
-            ),
-            Formula::Iff(a, b) => Formula::Iff(
-                Box::new(rewrite_function(a, func, params, body)),
-                Box::new(rewrite_function(b, func, params, body)),
-            ),
-            Formula::Forall(bs, g) | Formula::Exists(bs, g) => {
-                // As in `rewrite_relation`, body's free vars ⊆ params so binders
-                // cannot capture; rename defensively if they somehow do.
-                let mut body_free = BTreeSet::new();
-                body.collect_vars(&mut body_free);
-                for p in params {
-                    body_free.remove(p);
-                }
-                let (bs, g) = if bs.iter().any(|b| body_free.contains(&b.var)) {
-                    let mut used = body_free.clone();
-                    super::all_var_names(g, &mut used);
-                    let mut renames = BTreeMap::new();
-                    let mut new_bs = Vec::with_capacity(bs.len());
-                    for b in bs {
-                        if body_free.contains(&b.var) {
-                            let fresh = super::fresh_name(b.var.as_str(), &mut used);
-                            renames.insert(b.var, Term::Var(fresh));
-                            new_bs.push(Binding::new(fresh, b.sort));
-                        } else {
-                            new_bs.push(b.clone());
-                        }
-                    }
-                    (new_bs, subst_vars(g, &renames))
-                } else {
-                    (bs.clone(), g.as_ref().clone())
-                };
-                let new_body = Box::new(rewrite_function(&g, func, params, body));
-                match f {
-                    Formula::Forall(..) => Formula::Forall(bs, new_body),
-                    _ => Formula::Exists(bs, new_body),
-                }
-            }
-        }
-    }
-
-    fn rewrite_function_term(t: &Term, func: &Sym, params: &[Sym], body: &Term) -> Term {
-        match t {
-            Term::Var(_) => t.clone(),
-            Term::App(g, args) => {
-                let args: Vec<Term> = args
-                    .iter()
-                    .map(|a| rewrite_function_term(a, func, params, body))
-                    .collect();
-                if g == func {
-                    debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
-                    let map: BTreeMap<Sym, Term> = params.iter().cloned().zip(args).collect();
-                    subst_term_vars(body, &map)
-                } else {
-                    Term::App(*g, args)
-                }
-            }
-            Term::Ite(c, a, b) => Term::Ite(
-                Box::new(rewrite_function(c, func, params, body)),
-                Box::new(rewrite_function_term(a, func, params, body)),
-                Box::new(rewrite_function_term(b, func, params, body)),
-            ),
-        }
-    }
 }
 
 use crate::intern::{Interner, TermId};
@@ -485,8 +185,7 @@ pub fn subst_vars(f: &Formula, map: &BTreeMap<Sym, Term>) -> Formula {
 /// Replaces the nullary function symbol (program variable) `name` by `term`,
 /// renaming any binder that would capture a variable of `term`.
 ///
-/// Delegates to [`Interner::subst_constant`]; identical output to
-/// [`reference::subst_constant`].
+/// Delegates to [`Interner::subst_constant`].
 pub fn subst_constant(f: &Formula, name: &Sym, term: &Term) -> Formula {
     Interner::with(|it| {
         let fid = it.intern(f);
@@ -501,8 +200,7 @@ pub fn subst_constant(f: &Formula, name: &Sym, term: &Term) -> Formula {
 /// `body` must be quantifier-free (as RML's update formulas are), so no
 /// capture can occur. Argument terms are rewritten first, which matters when
 /// they contain `ite` conditions mentioning `r`. Delegates to
-/// [`Interner::rewrite_relation`]; identical output to
-/// [`reference::rewrite_relation`].
+/// [`Interner::rewrite_relation`].
 pub fn rewrite_relation(f: &Formula, rel: &Sym, params: &[Sym], body: &Formula) -> Formula {
     Interner::with(|it| {
         let fid = it.intern(f);
@@ -516,8 +214,7 @@ pub fn rewrite_relation(f: &Formula, rel: &Sym, params: &[Sym], body: &Formula) 
 /// simultaneously: occurrences of `f` inside `body` itself are left alone,
 /// which is exactly Hoare-style assignment for `f(x̄) := t(x̄)` (so
 /// `f(x) := f(x)` is a no-op rather than a loop). Delegates to
-/// [`Interner::rewrite_function`]; identical output to
-/// [`reference::rewrite_function`].
+/// [`Interner::rewrite_function`].
 pub fn rewrite_function(f: &Formula, func: &Sym, params: &[Sym], body: &Term) -> Formula {
     Interner::with(|it| {
         let fid = it.intern(f);

@@ -15,39 +15,13 @@
 
 use std::sync::Arc;
 
-use ivy_core::{Conjecture, Inductiveness, Oracle, Verifier};
+use ivy_core::{Inductiveness, Oracle, Verifier};
 use ivy_epr::InstantiationMode;
-use ivy_protocols::{
-    chord, db_chain, distributed_lock, leader, learning_switch, lock_server, two_phase,
-};
-use ivy_rml::Program;
+use ivy_protocols::{evaluation, two_phase, Protocol};
 
 /// Deep enough that every stratified protocol's term universe closes
 /// below the bound (function nesting in the six models is at most 2).
 const SUFFICIENT_DEPTH: usize = 4;
-
-fn protocols() -> Vec<(&'static str, Program, Vec<Conjecture>)> {
-    vec![
-        ("leader", leader::program(), leader::invariant()),
-        (
-            "lock_server",
-            lock_server::program(),
-            lock_server::invariant(),
-        ),
-        (
-            "learning_switch",
-            learning_switch::program(),
-            learning_switch::invariant(),
-        ),
-        ("db_chain", db_chain::program(), db_chain::invariant()),
-        (
-            "distributed_lock",
-            distributed_lock::program(),
-            distributed_lock::invariant(),
-        ),
-        ("chord", chord::program(), chord::invariant()),
-    ]
-}
 
 fn oracle(mode: InstantiationMode) -> Arc<Oracle> {
     let mut o = Oracle::new();
@@ -67,7 +41,13 @@ fn verdict_tag(r: &Inductiveness) -> String {
 
 #[test]
 fn bounded_matches_full_on_all_protocols_cold_oracle() {
-    for (name, program, invariant) in protocols() {
+    for Protocol {
+        name,
+        program,
+        invariant,
+        ..
+    } in evaluation()
+    {
         for inv in [&invariant, &invariant[..1].to_vec()] {
             let full = Verifier::with_oracle(&program, oracle(InstantiationMode::Full))
                 .check(inv)
@@ -96,7 +76,13 @@ fn bounded_matches_full_on_all_protocols_warm_oracle() {
     let full_oracle = oracle(InstantiationMode::Full);
     let bounded_oracle = oracle(InstantiationMode::Bounded(SUFFICIENT_DEPTH));
     for pass in 0..2 {
-        for (name, program, invariant) in protocols() {
+        for Protocol {
+            name,
+            program,
+            invariant,
+            ..
+        } in evaluation()
+        {
             let full = Verifier::with_oracle(&program, full_oracle.clone())
                 .check(&invariant)
                 .unwrap_or_else(|e| panic!("{name} pass {pass}: full mode errored: {e}"));
@@ -107,6 +93,10 @@ fn bounded_matches_full_on_all_protocols_warm_oracle() {
                 verdict_tag(&full),
                 verdict_tag(&bounded),
                 "{name} pass {pass}: warm bounded diverged from full"
+            );
+            assert!(
+                full.is_inductive(),
+                "{name} pass {pass}: bundled invariant must verify"
             );
         }
     }

@@ -43,7 +43,7 @@ pub mod pretty;
 pub mod trans;
 pub mod wp;
 
-pub use ast::{update_params, Action, Cmd, Program};
+pub use ast::{Action, Cmd, Program};
 pub use check::{check_program, CheckError};
 pub use interp::{exec_all, exec_random, step_random, ExecOutcome, InterpError};
 pub use parser::{parse_program, RmlParseError};

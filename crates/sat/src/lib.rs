@@ -32,7 +32,6 @@
 pub mod cnf;
 pub mod dimacs;
 pub mod dpll;
-pub mod legacy;
 pub mod lit;
 pub mod solver;
 

@@ -20,8 +20,8 @@
 //!
 //! The paper's Ivy uses Z3 as its satisfiability back end; this solver
 //! (plus the EPR grounding layer in `ivy-epr`) is our from-scratch
-//! substitute. The pre-arena solver is frozen in [`crate::legacy`] as a
-//! differential-testing baseline.
+//! substitute. [`crate::solve_dpll`] is its differential-testing oracle
+//! (`tests/arena_vs_dpll.rs`).
 
 use crate::lit::{LBool, Lit, Var};
 use std::time::Instant;

@@ -16,7 +16,7 @@
 //! - [`json`] — a dependency-free JSON parser and single-line
 //!   serializer (the whole crate is std-only).
 //! - [`client`] — a blocking one-line-in, one-line-out client used by
-//!   `ivy client` and the `bench_serve` load generator.
+//!   `ivy client` and the load test in `tests/serve_load.rs`.
 //!
 //! Every response carries the verdict, an `ivy-profile-v1` telemetry
 //! block scoped to that request, and cache provenance (frame hits,

@@ -86,6 +86,34 @@ fn check_bmc_prove_roundtrip() {
     assert!(text.contains("survive"), "{text}");
 }
 
+/// The non-EPR `two_phase` model end to end: full instantiation refuses
+/// it as a usage error that names the cycle and suggests `--bound`, and
+/// `--bound 2` proves its invariant.
+#[test]
+fn non_epr_model_is_refused_unless_bounded() {
+    let rml = concat!(env!("CARGO_MANIFEST_DIR"), "/../protocols/rml/");
+    let model = format!("{rml}two_phase.rml");
+    let inv = format!("{rml}two_phase.inv");
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_ivy"))
+            .args(["prove", &model, &inv])
+            .args(extra)
+            .output()
+            .expect("run ivy binary")
+    };
+
+    let out = run(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("not stratified"), "{stderr}");
+    assert!(stderr.contains("--bound"), "{stderr}");
+
+    let out = run(&["--bound", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("inductive"), "{stdout}");
+}
+
 #[test]
 fn bad_model_reports_validation_errors() {
     let model = write_temp(

@@ -4,19 +4,7 @@
 //! accumulate anything in the pooled session.
 
 use ivy_core::Bmc;
-use ivy_protocols as p;
-use ivy_rml::Program;
-
-fn protocols() -> Vec<(&'static str, Program)> {
-    vec![
-        ("leader", p::leader::program()),
-        ("lock_server", p::lock_server::program()),
-        ("distributed_lock", p::distributed_lock::program()),
-        ("learning_switch", p::learning_switch::program()),
-        ("db_chain", p::db_chain::program()),
-        ("chord", p::chord::program()),
-    ]
-}
+use ivy_protocols::{evaluation, lock_server, Protocol};
 
 /// What one scan cost, read off the oracle's rollup.
 #[derive(Debug)]
@@ -44,7 +32,7 @@ fn scan(bmc: &Bmc<'_>, k: usize, name: &str) -> Delta {
 
 #[test]
 fn warm_bmc_reuses_the_pooled_unrolling() {
-    for (name, program) in protocols() {
+    for Protocol { name, program, .. } in evaluation() {
         let bmc = Bmc::new(&program);
         let cold = scan(&bmc, 2, name);
         assert_eq!(cold.frame_misses, 1, "{name}: cold scan grounds once");
@@ -75,7 +63,7 @@ fn warm_bmc_reuses_the_pooled_unrolling() {
 fn deep_scans_are_pooled_too() {
     // Ten steps used to be ten handle groups — more than the pool admits
     // from one handle — so a depth-10 scan was never reused.
-    let program = p::lock_server::program();
+    let program = lock_server::program();
     let bmc = Bmc::new(&program);
     let cold = scan(&bmc, 10, "lock_server");
     assert_eq!(cold.frame_misses, 1);

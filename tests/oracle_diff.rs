@@ -9,35 +9,11 @@
 use std::sync::Arc;
 
 use ivy_core::{
-    houdini_with_oracle, AutoGen, Bmc, Conjecture, Generalizer, Inductiveness, Oracle,
-    QueryStrategy, Verifier, Violation,
+    houdini_with_oracle, AutoGen, Bmc, Generalizer, Inductiveness, Oracle, QueryStrategy, Verifier,
+    Violation,
 };
 use ivy_fol::PartialStructure;
-use ivy_protocols as p;
-use ivy_rml::Program;
-
-fn protocols() -> Vec<(&'static str, Program, Vec<Conjecture>)> {
-    vec![
-        ("leader", p::leader::program(), p::leader::invariant()),
-        (
-            "lock_server",
-            p::lock_server::program(),
-            p::lock_server::invariant(),
-        ),
-        (
-            "distributed_lock",
-            p::distributed_lock::program(),
-            p::distributed_lock::invariant(),
-        ),
-        (
-            "learning_switch",
-            p::learning_switch::program(),
-            p::learning_switch::invariant(),
-        ),
-        ("db_chain", p::db_chain::program(), p::db_chain::invariant()),
-        ("chord", p::chord::program(), p::chord::invariant()),
-    ]
-}
+use ivy_protocols::{evaluation, Protocol};
 
 fn oracle(strategy: QueryStrategy) -> Arc<Oracle> {
     let mut o = Oracle::new();
@@ -56,7 +32,13 @@ fn violation_of(result: &Inductiveness) -> Option<Violation> {
 /// baselines exactly — and actually hit its cache while doing so.
 #[test]
 fn shared_oracle_matches_fresh_verifier_and_bmc() {
-    for (name, program, invariant) in protocols() {
+    for Protocol {
+        name,
+        program,
+        invariant,
+        ..
+    } in evaluation()
+    {
         let mut weakened = invariant.clone();
         weakened.pop();
         let shared = oracle(QueryStrategy::Session);
@@ -115,7 +97,13 @@ fn shared_oracle_matches_fresh_verifier_and_bmc() {
 /// and re-adding it under a junk sibling exercises both drops and keeps.
 #[test]
 fn houdini_verdicts_match_fresh_baseline() {
-    for (name, program, invariant) in protocols() {
+    for Protocol {
+        name,
+        program,
+        invariant,
+        ..
+    } in evaluation()
+    {
         let candidates = invariant.clone();
         let reference =
             houdini_with_oracle(&program, candidates.clone(), &oracle(QueryStrategy::Fresh))
@@ -152,7 +140,13 @@ fn houdini_verdicts_match_fresh_baseline() {
 /// slice of a real CTI diagram from the weakened invariant.
 #[test]
 fn generalizer_verdicts_match_fresh_baseline() {
-    for (name, program, invariant) in protocols() {
+    for Protocol {
+        name,
+        program,
+        invariant,
+        ..
+    } in evaluation()
+    {
         let mut weakened = invariant.clone();
         weakened.pop();
         let v = Verifier::with_oracle(&program, oracle(QueryStrategy::Fresh));

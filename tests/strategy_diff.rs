@@ -9,31 +9,8 @@
 
 use ivy_core::{Bmc, Conjecture, Inductiveness, QueryStrategy, Trace, Verifier, Violation};
 use ivy_fol::parse_formula;
-use ivy_protocols as p;
+use ivy_protocols::{evaluation, leader, Protocol};
 use ivy_rml::Program;
-
-fn protocols() -> Vec<(&'static str, Program, Vec<Conjecture>)> {
-    vec![
-        ("leader", p::leader::program(), p::leader::invariant()),
-        (
-            "lock_server",
-            p::lock_server::program(),
-            p::lock_server::invariant(),
-        ),
-        (
-            "distributed_lock",
-            p::distributed_lock::program(),
-            p::distributed_lock::invariant(),
-        ),
-        (
-            "learning_switch",
-            p::learning_switch::program(),
-            p::learning_switch::invariant(),
-        ),
-        ("db_chain", p::db_chain::program(), p::db_chain::invariant()),
-        ("chord", p::chord::program(), p::chord::invariant()),
-    ]
-}
 
 fn check_with(program: &Program, strategy: QueryStrategy, inv: &[Conjecture]) -> Inductiveness {
     let mut v = Verifier::new(program);
@@ -50,7 +27,13 @@ fn violation_of(result: &Inductiveness) -> Option<Violation> {
 
 #[test]
 fn strategies_agree_on_all_protocols() {
-    for (name, program, invariant) in protocols() {
+    for Protocol {
+        name,
+        program,
+        invariant,
+        ..
+    } in evaluation()
+    {
         // The bundled invariant is inductive: every strategy must prove it.
         // Dropping its last conjecture usually breaks inductiveness: every
         // strategy must then report the same violation.
@@ -75,7 +58,7 @@ fn strategies_agree_on_all_protocols() {
 
 #[test]
 fn incremental_bmc_agrees_with_fresh() {
-    for (name, program, _) in protocols() {
+    for Protocol { name, program, .. } in evaluation() {
         let mut fresh = Bmc::new(&program);
         fresh.set_incremental(false);
         let mut incremental = Bmc::new(&program);
@@ -112,11 +95,13 @@ fn bmc_answer(trace: Option<Trace>) -> Option<(usize, String)> {
 
 #[test]
 fn warm_bmc_agrees_with_fresh_and_cold() {
-    let mut programs: Vec<(&str, Program)> =
-        protocols().into_iter().map(|(n, p, _)| (n, p)).collect();
+    let mut programs: Vec<(&str, Program)> = evaluation()
+        .into_iter()
+        .map(|p| (p.name, p.program))
+        .collect();
     programs.push((
         "leader_without_unique_ids",
-        p::leader::program_without_unique_ids(),
+        leader::program_without_unique_ids(),
     ));
     let k = 2;
     let always = parse_formula("true").unwrap();
