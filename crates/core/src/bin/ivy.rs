@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use ivy_core::{
     houdini_with_oracle, Bmc, Conjecture, Inductiveness, Oracle, QueryStrategy, Verifier,
 };
-use ivy_epr::{Budget, EprError, InstantiationMode, QueryReport};
+use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::parse_formula;
 use ivy_rml::{check_program, parse_program, CheckError, Program};
 use ivy_serve::{Client, Endpoint, Json, Listener, ServeConfig, Server};
@@ -164,7 +164,7 @@ fn main() -> ExitCode {
         },
     };
     if let Some(path) = &profile_path {
-        if let Err(e) = write_profile(path, &args, verdict, stop, started.elapsed()) {
+        if let Err(e) = write_profile(path, &args, &oracle, verdict, stop, started.elapsed()) {
             eprintln!("profile: {e}");
             return ExitCode::from(2);
         }
@@ -197,17 +197,19 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Writes the `ivy-profile-v1` report: the cumulative query counters
-/// republished from the global registry, plus wall time, outcome, and
-/// cache-layer stats only the front end can see.
+/// Writes the `ivy-profile-v1` report: the merge of every query the
+/// oracle answered (counters summed; universe, SAT variables and clauses
+/// at their maxima), plus wall time, outcome, and cache-layer stats only
+/// the front end can see.
 fn write_profile(
     path: &str,
     args: &[String],
+    oracle: &Oracle,
     verdict: &str,
     stop: Option<ivy_epr::StopReason>,
     wall: Duration,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mut report = QueryReport::from_global_counters();
+    let mut report = oracle.rollup().report;
     report.outcome = verdict.to_string();
     report.stop = stop;
     report.wall_nanos = wall.as_nanos();

@@ -4,15 +4,23 @@
 //! `k`-invariance bounds the number of loop iterations but *not* the state
 //! size (Equation 3): a property found `k`-invariant holds in every state
 //! reachable by at most `k` iterations, over rings/networks of any size.
+//!
+//! `ReachScan` is the one way the engines ask "is a state satisfying
+//! this goal reachable in exactly `j` steps?": BMC, BMC + Auto Generalize
+//! ([`crate::generalize`]), Houdini's initiation pass
+//! ([`mod@crate::houdini`]) and `infer`'s reachability filter
+//! ([`mod@crate::infer`]) all scan depths on one. Reading a model back into a
+//! [`Trace`], naming the action a step took, and listing the safety cases
+//! of a state live here too.
 
 use std::sync::Arc;
 
-use ivy_epr::{Budget, EprError};
+use ivy_epr::{Budget, EprError, EprOutcome};
 use ivy_fol::intern::{self, FormulaId};
-use ivy_fol::{Formula, Structure};
+use ivy_fol::{Formula, Signature, Structure};
 use ivy_rml::{project_state, unroll, Program, Unrolling};
 
-use crate::oracle::{sat_model, Frame, FrameSession, Goal, Oracle, QueryStrategy};
+use crate::oracle::{sat_model, Frame, FrameSession, Goal, Oracle};
 use crate::vc::not_renamed;
 
 /// A concrete counterexample trace: the loop-head states of an execution,
@@ -34,6 +42,59 @@ impl Trace {
     pub fn steps(&self) -> usize {
         self.states.len().saturating_sub(1)
     }
+
+    /// Reads the trace of a model of `base ∧ steps[0..j]` of `u`: the
+    /// loop-head states `0..=j` projected onto the program vocabulary, and
+    /// each step labeled with the action it took.
+    pub(crate) fn from_model(
+        program: &Program,
+        u: &Unrolling,
+        j: usize,
+        model: &Structure,
+        violated: String,
+    ) -> Trace {
+        Trace {
+            states: u.maps[..=j]
+                .iter()
+                .map(|map| project_state(model, &program.sig, map))
+                .collect(),
+            actions: (0..j).map(|i| step_action(u, i, model)).collect(),
+            violated,
+        }
+    }
+}
+
+/// The action step `i` of `u` took in `model`: the first action whose path
+/// formula the model satisfies (empty when none does).
+pub(crate) fn step_action(u: &Unrolling, i: usize, model: &Structure) -> String {
+    u.step_paths[i]
+        .iter()
+        .find(|(_, f)| model.eval_closed(&intern::resolve(*f)).unwrap_or(false))
+        .map(|(n, _)| n.clone())
+        .unwrap_or_default()
+}
+
+/// The violation cases of loop-head state `j` of `u`: each declared safety
+/// property, then abort reachability through the body (when `u` has a step
+/// from state `j`) and through the finalization command. Returns
+/// `(label, bad formula)` pairs; the labels name what a trace or CTI
+/// violated.
+pub(crate) fn safety_cases(program: &Program, u: &Unrolling, j: usize) -> Vec<(String, FormulaId)> {
+    let mut out: Vec<(String, FormulaId)> = program
+        .safety
+        .iter()
+        .map(|(label, phi)| (label.clone(), not_renamed(phi, &u.maps[j])))
+        .collect();
+    let false_id = intern::false_id();
+    for (action, err) in u.step_errors.get(j).into_iter().flatten() {
+        if *err != false_id {
+            out.push((format!("abort in action `{action}`"), *err));
+        }
+    }
+    if u.final_errors[j] != false_id {
+        out.push(("abort in final".into(), u.final_errors[j]));
+    }
+    out
 }
 
 /// Bounded verification engine for one program.
@@ -44,14 +105,15 @@ pub struct Bmc<'p> {
 }
 
 impl<'p> Bmc<'p> {
-    /// Creates a BMC engine with its own default [`Oracle`] (incremental
-    /// depth scanning via [`QueryStrategy::Session`]).
+    /// Creates a BMC engine with its own default [`Oracle`].
     pub fn new(program: &'p Program) -> Bmc<'p> {
         Bmc::with_oracle(program, Arc::new(Oracle::new()))
     }
 
     /// Creates a BMC engine issuing every query through `oracle` — sharing
-    /// it with other engines shares the frame-keyed session cache too.
+    /// it with other engines shares the frame-keyed session cache too. An
+    /// oracle set to [`crate::QueryStrategy::Fresh`] re-solves every depth
+    /// from scratch (the reference behavior).
     pub fn with_oracle(program: &'p Program, oracle: Arc<Oracle>) -> Bmc<'p> {
         Bmc { program, oracle }
     }
@@ -69,8 +131,8 @@ impl<'p> Bmc<'p> {
     }
 
     /// Caps grounding size per query (see
-    /// [`ivy_epr::EprSession::set_instance_limit`]). In incremental mode the
-    /// budget is cumulative per pooled session: it covers the unrolling's
+    /// [`ivy_epr::EprSession::set_instance_limit`]). On a pooling oracle
+    /// the budget is cumulative per session: it covers the unrolling's
     /// base, every step grounded so far, and the violations of every scan
     /// the session served (an exhausted recycled session is rebuilt
     /// transparently). A cold scan grounds steps only as it deepens, so a
@@ -78,26 +140,6 @@ impl<'p> Bmc<'p> {
     /// steps.
     pub fn set_instance_limit(&mut self, limit: u64) {
         Arc::make_mut(&mut self.oracle).set_instance_limit(limit);
-    }
-
-    /// Toggles incremental solving (on by default). Incremental checks hold
-    /// one oracle session per call over one frame, the unrolling's base
-    /// plus all `k` transition steps ([`Oracle::open_prefix`]). Depth `j`
-    /// queries the frame prefix `base ∧ steps[0..j]`: on a cold session
-    /// each step is grounded when the scan first reaches it, on a pooled
-    /// one every step is already grounded and the deeper steps are merely
-    /// masked. Every per-depth violation runs as a retirable assumption
-    /// group, so learnt clauses carry across the whole depth-by-depth
-    /// scan, and a scan that reached depth `k` leaves the grounded
-    /// unrolling in the oracle's pool for the next call at the same depth.
-    /// `false` re-solves every depth from scratch (the reference behavior,
-    /// [`QueryStrategy::Fresh`]).
-    pub fn set_incremental(&mut self, on: bool) {
-        Arc::make_mut(&mut self.oracle).set_strategy(if on {
-            QueryStrategy::Session
-        } else {
-            QueryStrategy::Fresh
-        });
     }
 
     /// Checks whether `phi` is `k`-invariant: true in every state reachable
@@ -109,11 +151,11 @@ impl<'p> Bmc<'p> {
     /// Propagates [`EprError`] (fragment violations, resource limits).
     pub fn check_k_invariance(&self, phi: &Formula, k: usize) -> Result<Option<Trace>, EprError> {
         let u = unroll(self.program, k);
-        let mut scan = self.open_scan(&u)?;
+        let mut scan = ReachScan::open(&self.oracle, &u.sig, &u)?;
         for j in 0..=k {
-            let bad = not_renamed(phi, &u.maps[j]);
-            if let Some(model) = scan.solve_at(j, ("violation", bad))? {
-                return Ok(Some(self.extract_trace(&u, j, &model, format!("~({phi})"))));
+            if let Some(model) = scan.model_at(j, not_renamed(phi, &u.maps[j]))? {
+                let msg = format!("~({phi})");
+                return Ok(Some(Trace::from_model(self.program, &u, j, &model, msg)));
             }
         }
         Ok(None)
@@ -128,111 +170,83 @@ impl<'p> Bmc<'p> {
     /// Propagates [`EprError`].
     pub fn check_safety(&self, k: usize) -> Result<Option<Trace>, EprError> {
         let u = unroll(self.program, k);
-        let mut scan = self.open_scan(&u)?;
+        let mut scan = ReachScan::open(&self.oracle, &u.sig, &u)?;
         // Aborts during init (no steps involved; depth 0).
-        let false_id = intern::false_id();
-        if u.init_error != false_id {
-            if let Some(model) = scan.solve_at(0, ("abort", u.init_error))? {
-                let mut trace = self.extract_trace(&u, 0, &model, String::new());
-                trace.violated = "abort during init".into();
-                return Ok(Some(trace));
+        if u.init_error != intern::false_id() {
+            if let Some(model) = scan.model_at(0, u.init_error)? {
+                let msg = "abort during init".to_string();
+                return Ok(Some(Trace::from_model(self.program, &u, 0, &model, msg)));
             }
         }
         for j in 0..=k {
-            // Safety properties at state j.
-            for (label, phi) in &self.program.safety {
-                let bad = not_renamed(phi, &u.maps[j]);
-                if let Some(model) = scan.solve_at(j, ("violation", bad))? {
-                    return Ok(Some(self.extract_trace(&u, j, &model, label.clone())));
-                }
-            }
-            // Aborts inside the body step from state j.
-            if j < u.step_errors.len() {
-                for (action, err) in &u.step_errors[j] {
-                    if *err == false_id {
-                        continue;
-                    }
-                    if let Some(model) = scan.solve_at(j, ("abort", *err))? {
-                        return Ok(Some(self.extract_trace(
-                            &u,
-                            j,
-                            &model,
-                            format!("abort in action `{action}`"),
-                        )));
-                    }
-                }
-            }
-            // Aborts in the finalization command from state j.
-            if u.final_errors[j] != false_id {
-                let err = u.final_errors[j];
-                if let Some(model) = scan.solve_at(j, ("abort", err))? {
-                    return Ok(Some(self.extract_trace(
-                        &u,
-                        j,
-                        &model,
-                        "abort in final".to_string(),
-                    )));
+            for (label, bad) in safety_cases(self.program, &u, j) {
+                if let Some(model) = scan.model_at(j, bad)? {
+                    return Ok(Some(Trace::from_model(self.program, &u, j, &model, label)));
                 }
             }
         }
         Ok(None)
     }
+}
 
-    /// Opens the depth-scan handle over one frame: the unrolling base plus
-    /// all `k` transition steps, with only the base active (see
-    /// [`ReachScan::solve_at`]). Under [`QueryStrategy::Fresh`] the handle
-    /// re-grounds per query — the reference behavior.
-    fn open_scan(&self, u: &Unrolling) -> Result<ReachScan<'_>, EprError> {
-        let mut frame = Frame::new(&u.sig);
+/// A depth scan over one unrolling: one oracle handle over the frame
+/// `base ∧ steps[0..k]`, opened at prefix 1, so depth `j` is queried at
+/// prefix `j + 1` ([`crate::oracle::FrameSession::set_frame_prefix`]). On a
+/// cold session each step is grounded when the scan first reaches it; on a
+/// pooled one every step is already grounded and the deeper steps are
+/// merely masked. Every query runs as a retirable goal, so learnt clauses
+/// carry across the whole scan, and a scan that reached depth `k` leaves
+/// the grounded unrolling in the oracle's pool for the next scan over the
+/// same frame. Under [`crate::QueryStrategy::Fresh`] every query grounds
+/// its prefix anew — the reference behavior.
+pub(crate) struct ReachScan<'o> {
+    handle: FrameSession<'o>,
+}
+
+impl<'o> ReachScan<'o> {
+    /// Opens a scan over `u` on `sig` (`u.sig`, or an extension of it
+    /// whose extra constants the goals mention).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`] from grounding the base.
+    pub(crate) fn open(
+        oracle: &'o Oracle,
+        sig: &Signature,
+        u: &Unrolling,
+    ) -> Result<ReachScan<'o>, EprError> {
+        let mut frame = Frame::new(sig);
         frame.push("base", u.base);
         for (i, step) in u.steps.iter().enumerate() {
             frame.push(format!("step{i}"), *step);
         }
         Ok(ReachScan {
-            handle: self.oracle.open_prefix(&frame, 1)?,
+            handle: oracle.open_prefix(&frame, 1)?,
         })
     }
 
-    /// Projects the model onto loop-head states 0..=j and labels steps by
-    /// evaluating each action's path formula in the model.
-    fn extract_trace(&self, u: &Unrolling, j: usize, model: &Structure, violated: String) -> Trace {
-        let mut states = Vec::with_capacity(j + 1);
-        for map in u.maps.iter().take(j + 1) {
-            states.push(project_state(model, &self.program.sig, map));
-        }
-        let mut actions = Vec::with_capacity(j);
-        for step in u.step_paths.iter().take(j) {
-            let name = step
-                .iter()
-                .find(|(_, f)| model.eval_closed(&intern::resolve(*f)).unwrap_or(false))
-                .map(|(n, _)| n.clone())
-                .unwrap_or_default();
-            actions.push(name);
-        }
-        Trace {
-            states,
-            actions,
-            violated,
-        }
+    /// Solves `base ∧ steps[0..j] ∧ goal`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`] from grounding the next step or the goal.
+    pub(crate) fn solve_at(&mut self, j: usize, goal: &Goal) -> Result<EprOutcome, EprError> {
+        self.handle.set_frame_prefix(j + 1)?;
+        self.handle.solve_goal(goal)
     }
-}
 
-/// The depth-scan state: one oracle handle over `base ∧ steps[0..k]`.
-struct ReachScan<'o> {
-    handle: FrameSession<'o>,
-}
-
-impl ReachScan<'_> {
-    /// Solves `base ∧ steps[0..j] ∧ extra` by moving the handle's frame
-    /// prefix to `j + 1`: a cold session grounds the next step, a pooled
-    /// one only masks the deeper steps. Returns the model on SAT.
-    fn solve_at(
+    /// Solves `base ∧ steps[0..j] ∧ bad` and returns the model on SAT.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ReachScan::solve_at`]; a budget-exhausted query surfaces as
+    /// [`EprError::Inconclusive`].
+    pub(crate) fn model_at(
         &mut self,
         j: usize,
-        extra: (&str, FormulaId),
+        bad: FormulaId,
     ) -> Result<Option<Structure>, EprError> {
-        self.handle.set_frame_prefix(j + 1)?;
-        let outcome = self.handle.solve_goal(&Goal::new(extra.0, extra.1))?;
+        let outcome = self.solve_at(j, &Goal::new("violation", bad))?;
         Ok(sat_model(outcome)?.map(|m| m.structure))
     }
 }
@@ -240,8 +254,16 @@ impl ReachScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::QueryStrategy;
     use ivy_fol::parse_formula;
     use ivy_rml::{check_program, parse_program};
+
+    /// An oracle that re-solves every query from scratch.
+    fn fresh_oracle() -> Arc<Oracle> {
+        let mut oracle = Oracle::new();
+        oracle.set_strategy(QueryStrategy::Fresh);
+        Arc::new(oracle)
+    }
 
     /// A counter-ish protocol: tokens spread from a seed; the (wrong)
     /// property "no two distinct marked nodes" is violated in 2 steps.
@@ -403,12 +425,13 @@ action mark { havoc n; marked.insert(n) }
             Err(EprError::TooManyInstances { .. })
         ));
         // The lazy scan still stops at depth 2 within it, cold and fresh.
-        for incremental in [true, false] {
-            let mut bmc = Bmc::new(&p);
-            bmc.set_incremental(incremental);
+        for strategy in [QueryStrategy::Session, QueryStrategy::Fresh] {
+            let mut oracle = Oracle::new();
+            oracle.set_strategy(strategy);
+            let mut bmc = Bmc::with_oracle(&p, Arc::new(oracle));
             bmc.set_instance_limit(limit);
             let trace = bmc.check_k_invariance(&phi, 8).unwrap().unwrap();
-            assert_eq!(trace.steps(), 2, "incremental: {incremental}");
+            assert_eq!(trace.steps(), 2, "{strategy:?}");
         }
     }
 
@@ -444,8 +467,7 @@ action mark_one {
         assert_eq!(after.sessions_built, before.sessions_built);
         assert_eq!(trace.violated, "at_most_one");
         assert_eq!(trace.steps(), 1);
-        let mut fresh = Bmc::new(&p);
-        fresh.set_incremental(false);
+        let fresh = Bmc::with_oracle(&p, fresh_oracle());
         assert_eq!(fresh.check_safety(3).unwrap().unwrap().steps(), 1);
     }
 
@@ -474,8 +496,7 @@ action mark_one {
     #[test]
     fn non_incremental_mode_agrees() {
         let p = spread();
-        let mut bmc = Bmc::new(&p);
-        bmc.set_incremental(false);
+        let bmc = Bmc::with_oracle(&p, fresh_oracle());
         let phi = parse_formula("forall X:node, Y:node. marked(X) & marked(Y) -> X = Y").unwrap();
         let trace = bmc.check_k_invariance(&phi, 3).unwrap().unwrap();
         assert_eq!(trace.steps(), 1);

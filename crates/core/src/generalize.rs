@@ -15,12 +15,14 @@
 //! 3. re-verifies `ϕ(s_m)` (dropping facts also drops distinctness of
 //!    newly-inactive elements, which cores alone do not account for).
 //!
-//! Every embedding query goes through the engine's [`Oracle`]: the
-//! per-depth reachability frames are built once over one extended signature
-//! (a fresh constant per diagram element), so the dozens of subset queries
-//! issued during deletion minimization all hit the same pooled groundings.
+//! Every embedding query runs on one `ReachScan` per call: the unrolling
+//! to depth `k` over one extended signature (a fresh constant per diagram
+//! element), queried at depth `j` by frame prefix. The first
+//! `k`-invariance check with cores, the core-seeded candidate and every
+//! deletion step share that one grounding, and the next call at the same
+//! bound finds it in the oracle's pool.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ivy_epr::{EprError, EprOutcome};
@@ -28,8 +30,8 @@ use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::{conjecture, Elem, Fact, Formula, PartialStructure, Signature, Sym, Term};
 use ivy_rml::{rename_symbols, unroll, Program, SymMap, Unrolling};
 
-use crate::bmc::Trace;
-use crate::oracle::{Frame, Goal, Oracle};
+use crate::bmc::{ReachScan, Trace};
+use crate::oracle::{sat_model, Frame, Goal, Oracle};
 
 /// Interns a formula (embedding goals are built in formula space, queries
 /// run in id space).
@@ -105,8 +107,8 @@ impl<'p> Generalizer<'p> {
         // One extended signature with a fresh constant per element of ANY
         // fact. Constants left unconstrained by a subset query never change
         // EPR satisfiability, so every subset shares the signature — which
-        // keeps the per-depth frames (and their pooled groundings) stable
-        // across the whole minimization.
+        // keeps the scan's frame (and its pooled grounding) stable across
+        // the whole minimization.
         let mut sig = u.sig.clone();
         let mut elem_const: BTreeMap<Elem, Sym> = BTreeMap::new();
         for fact in &facts {
@@ -121,40 +123,35 @@ impl<'p> Generalizer<'p> {
                 }
             }
         }
-        // Per-depth frames: base plus the first j transition steps.
-        let mut frames: Vec<Frame> = Vec::with_capacity(k + 1);
-        let mut frame = Frame::new(&sig);
-        frame.push("base", u.base);
-        for j in 0..=k {
-            if j > 0 {
-                frame.push(format!("step{}", j - 1), u.steps[j - 1]);
-            }
-            frames.push(frame.clone());
-        }
+        let mut scan = ReachScan::open(&self.oracle, &sig, &u)?;
         // Check k-invariance of ϕ(s_u) with per-fact labels, collecting the
         // union of UNSAT cores across depths.
         let all: Vec<usize> = (0..facts.len()).collect();
         let mut core_union: Vec<bool> = vec![false; facts.len()];
-        for (j, frame) in frames.iter().enumerate() {
-            match self.query_embedding(frame, &u.maps[j], &facts, &all, &elem_const)? {
-                QueryResult::Sat(model) => {
+        for j in 0..=k {
+            let goal = embed_goal(&facts, &all, &elem_const, &u.maps[j]);
+            match scan.solve_at(j, &goal)? {
+                EprOutcome::Sat(model) => {
                     // Reachable state contains s_u: report the trace.
-                    let trace = self.trace_from(&u, j, &model);
+                    let violated = "generalization excludes a reachable state".into();
+                    let trace = Trace::from_model(self.program, &u, j, &model.structure, violated);
                     return Ok(AutoGen::TooStrong(trace));
                 }
-                QueryResult::Unsat(core) => {
-                    for (i, in_core) in core.into_iter().enumerate() {
-                        if in_core {
-                            core_union[i] = true;
+                EprOutcome::Unsat(core) => {
+                    for label in &core {
+                        let fact = label.strip_prefix("fact").and_then(|i| i.parse().ok());
+                        if let Some(in_core) = fact.and_then(|i: usize| core_union.get_mut(i)) {
+                            *in_core = true;
                         }
                     }
                 }
+                EprOutcome::Unknown(r) => return Err(EprError::Inconclusive(r)),
             }
         }
         // Candidate from the cores.
         let seeded: Vec<usize> = (0..facts.len()).filter(|&i| core_union[i]).collect();
         let mut kept: Vec<usize> = if seeded.len() < facts.len()
-            && self.invariant_with(&frames, &u, &facts, &seeded, &elem_const)?
+            && invariant_with(&mut scan, &u, &facts, &seeded, &elem_const)?
         {
             seeded
         } else {
@@ -165,14 +162,14 @@ impl<'p> Generalizer<'p> {
         while i < kept.len() {
             let mut candidate = kept.clone();
             candidate.remove(i);
-            if self.invariant_with(&frames, &u, &facts, &candidate, &elem_const)? {
+            if invariant_with(&mut scan, &u, &facts, &candidate, &elem_const)? {
                 kept = candidate;
             } else {
                 i += 1;
             }
         }
         let mut partial = s_u.clone();
-        let keep_set: std::collections::BTreeSet<&Fact> = kept.iter().map(|&i| &facts[i]).collect();
+        let keep_set: BTreeSet<&Fact> = kept.iter().map(|&i| &facts[i]).collect();
         partial.retain_facts(|f| keep_set.contains(f));
         // Drop elements no longer mentioned by any fact; they only added
         // distinctness constraints.
@@ -188,91 +185,24 @@ impl<'p> Generalizer<'p> {
             conjecture: conj,
         })
     }
-
-    /// Checks whether the conjecture of `s_u` restricted to the given fact
-    /// subset is `k`-invariant: no depth's frame embeds the subset. One
-    /// query family over the per-depth frames.
-    fn invariant_with(
-        &self,
-        frames: &[Frame],
-        u: &Unrolling,
-        facts: &[Fact],
-        subset: &[usize],
-        elem_const: &BTreeMap<Elem, Sym>,
-    ) -> Result<bool, EprError> {
-        let found = self.oracle.first_sat_frames(
-            frames.len(),
-            |j| {
-                (
-                    &frames[j],
-                    embed_goal(facts, subset, elem_const, &u.maps[j]),
-                )
-            },
-            |_, _| (),
-        )?;
-        Ok(found.is_none())
-    }
-
-    /// Solves: "some state reachable under `frame` embeds the given facts
-    /// of `s_u`" — the diagram's existential element variables are the
-    /// frame signature's embedding constants, so each fact carries its own
-    /// label for UNSAT cores.
-    fn query_embedding(
-        &self,
-        frame: &Frame,
-        map: &SymMap,
-        facts: &[Fact],
-        selected: &[usize],
-        elem_const: &BTreeMap<Elem, Sym>,
-    ) -> Result<QueryResult, EprError> {
-        let goal = embed_goal(facts, selected, elem_const, map);
-        match self.oracle.solve(frame, &goal)? {
-            EprOutcome::Sat(model) => Ok(QueryResult::Sat(model.structure)),
-            EprOutcome::Unsat(core) => {
-                let mut flags = vec![false; facts.len()];
-                for label in core {
-                    if let Some(i) = label.strip_prefix("fact").and_then(|s| s.parse().ok()) {
-                        let i: usize = i;
-                        if i < facts.len() {
-                            flags[i] = true;
-                        }
-                    }
-                }
-                Ok(QueryResult::Unsat(flags))
-            }
-            EprOutcome::Unknown(r) => Err(EprError::Inconclusive(r)),
-        }
-    }
-
-    fn trace_from(&self, u: &Unrolling, j: usize, model: &ivy_fol::Structure) -> Trace {
-        let mut states = Vec::with_capacity(j + 1);
-        for map in u.maps.iter().take(j + 1) {
-            states.push(ivy_rml::project_state(model, &self.program.sig, map));
-        }
-        let mut actions = Vec::with_capacity(j);
-        for step in u.step_paths.iter().take(j) {
-            let name = step
-                .iter()
-                .find(|(_, f)| {
-                    model
-                        .eval_closed(&ivy_fol::intern::resolve(*f))
-                        .unwrap_or(false)
-                })
-                .map(|(n, _)| n.clone())
-                .unwrap_or_default();
-            actions.push(name);
-        }
-        Trace {
-            states,
-            actions,
-            violated: "generalization excludes a reachable state".into(),
-        }
-    }
 }
 
-enum QueryResult {
-    Sat(ivy_fol::Structure),
-    Unsat(Vec<bool>),
+/// Checks whether the conjecture of `s_u` restricted to the given fact
+/// subset is `k`-invariant: no depth of the scan embeds the subset.
+fn invariant_with(
+    scan: &mut ReachScan<'_>,
+    u: &Unrolling,
+    facts: &[Fact],
+    subset: &[usize],
+    elem_const: &BTreeMap<Elem, Sym>,
+) -> Result<bool, EprError> {
+    for (j, map) in u.maps.iter().enumerate() {
+        let goal = embed_goal(facts, subset, elem_const, map);
+        if sat_model(scan.solve_at(j, &goal)?)?.is_some() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// The embedding goal for one fact subset at one state vocabulary:
@@ -418,13 +348,9 @@ action mark { havoc n; marked.insert(n) }
         }
     }
 
-    #[test]
-    fn unreachable_configuration_generalizes() {
-        let p = spread();
-        let g = Generalizer::new(&p);
-        // Configuration: a blue node. Nothing ever inserts into blue, so it
-        // is unreachable at any depth; the minimal core keeps just that fact.
-        use std::sync::Arc;
+    /// Upper bound: a marked seed and a blue node. Nothing ever inserts
+    /// into blue, so the configuration is unreachable at any depth.
+    fn blue_upper_bound(p: &Program) -> PartialStructure {
         let mut s = ivy_fol::Structure::new(Arc::new(p.sig.clone()));
         let a = s.add_element("node");
         let b = s.add_element("node");
@@ -433,8 +359,17 @@ action mark { havoc n; marked.insert(n) }
         s.set_rel("marked", vec![a.clone()], true);
         s.set_rel("blue", vec![b.clone()], true);
         let mut s_u = PartialStructure::empty_over(&s);
-        s_u.define_rel("blue", vec![b.clone()], true);
-        s_u.define_rel("marked", vec![a.clone()], true);
+        s_u.define_rel("blue", vec![b], true);
+        s_u.define_rel("marked", vec![a], true);
+        s_u
+    }
+
+    #[test]
+    fn unreachable_configuration_generalizes() {
+        let p = spread();
+        let g = Generalizer::new(&p);
+        // The minimal core keeps just the blue fact.
+        let s_u = blue_upper_bound(&p);
         match g.auto_generalize(&s_u, 2).unwrap() {
             AutoGen::Generalized {
                 partial,
@@ -453,17 +388,7 @@ action mark { havoc n; marked.insert(n) }
     #[test]
     fn generalizer_strategies_agree() {
         let p = spread();
-        use std::sync::Arc;
-        let mut s = ivy_fol::Structure::new(Arc::new(p.sig.clone()));
-        let a = s.add_element("node");
-        let b = s.add_element("node");
-        s.set_fun("seed", vec![], a.clone());
-        s.set_fun("n", vec![], a.clone());
-        s.set_rel("marked", vec![a.clone()], true);
-        s.set_rel("blue", vec![b.clone()], true);
-        let mut s_u = PartialStructure::empty_over(&s);
-        s_u.define_rel("blue", vec![b.clone()], true);
-        s_u.define_rel("marked", vec![a.clone()], true);
+        let s_u = blue_upper_bound(&p);
         for strategy in [
             crate::oracle::QueryStrategy::Fresh,
             crate::oracle::QueryStrategy::Session,
@@ -482,6 +407,28 @@ action mark { havoc n; marked.insert(n) }
                 AutoGen::TooStrong(_) => panic!("{strategy:?}: blue nodes are unreachable"),
             }
         }
+    }
+
+    #[test]
+    fn one_scan_serves_the_whole_generalization() {
+        let p = spread();
+        let s_u = blue_upper_bound(&p);
+        let g = Generalizer::new(&p);
+        // The k-invariance check with cores, the core-seeded candidate and
+        // every deletion step run on one grounding of the depth-2
+        // unrolling, not one per depth.
+        assert!(matches!(
+            g.auto_generalize(&s_u, 2).unwrap(),
+            AutoGen::Generalized { .. }
+        ));
+        let cold = g.oracle().rollup();
+        assert_eq!(cold.sessions_built, 1);
+        // The scan reached depth 2, so its session was pooled: a repeat
+        // grounds nothing.
+        g.auto_generalize(&s_u, 2).unwrap();
+        let warm = g.oracle().rollup();
+        assert_eq!(warm.sessions_built, 1);
+        assert_eq!(warm.frame_misses, cold.frame_misses);
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! successor state of a consecution CTI, until the surviving set is
 //! inductive. The result is the strongest inductive invariant within the
 //! candidate set; safety is then checked separately.
+//!
+//! The initiation pass is a depth-0 `ReachScan` ([`crate::bmc`]), shared with
+//! `infer`'s reachability filter through one helper that drops the
+//! candidates a witness state falsifies. The consecution pass holds one
+//! oracle handle over the one-step frame for every drop round.
 
 use std::sync::Arc;
 
-use ivy_epr::{Budget, EprError, EprOutcome};
+use ivy_epr::{EprError, EprOutcome};
 use ivy_fol::Signature;
-use ivy_rml::{project_state, unroll, unroll_free, Program};
+use ivy_rml::{project_state, unroll, unroll_free, Program, Unrolling};
 
+use crate::bmc::ReachScan;
 use crate::oracle::{Frame, FrameGroup, Goal, Oracle};
 use crate::vc::{not_renamed, renamed_id, Conjecture, Verifier};
 
@@ -29,44 +35,15 @@ pub struct HoudiniResult {
     pub proves_safety: bool,
 }
 
-/// Runs Houdini on `candidates`.
-///
-/// # Errors
-///
-/// Propagates [`EprError`].
-pub fn houdini(
-    program: &Program,
-    candidates: Vec<Conjecture>,
-    instance_limit: u64,
-) -> Result<HoudiniResult, EprError> {
-    houdini_budgeted(program, candidates, instance_limit, Budget::UNLIMITED)
-}
-
-/// [`houdini`] under a resource budget: every underlying query inherits the
-/// deadline/conflict/instance caps, and exhausting them aborts inference
-/// with [`EprError::Inconclusive`] — a partial candidate set is never
-/// reported as the strongest inductive invariant.
-///
-/// # Errors
-///
-/// Propagates [`EprError`].
-pub fn houdini_budgeted(
-    program: &Program,
-    candidates: Vec<Conjecture>,
-    instance_limit: u64,
-    budget: Budget,
-) -> Result<HoudiniResult, EprError> {
-    let mut oracle = Oracle::new();
-    oracle.set_instance_limit(instance_limit);
-    oracle.set_budget(budget);
-    houdini_with_oracle(program, candidates, &Arc::new(oracle))
-}
-
-/// [`houdini`] issuing every query through `oracle`: its strategy governs
-/// how candidate sweeps run (incrementally or fresh), and its frame-keyed
-/// session cache is shared with any other
-/// engine holding the same oracle — e.g. the final safety check reuses the
-/// one-step frame grounded during consecution filtering.
+/// Runs Houdini on `candidates`, issuing every query through `oracle`: its
+/// strategy governs how candidate sweeps run (incrementally or fresh), its
+/// budget bounds every query (exhausting it aborts inference with
+/// [`EprError::Inconclusive`] — a partial candidate set is never reported
+/// as the strongest inductive invariant), and its frame-keyed session cache
+/// is shared with any other engine holding the same oracle — e.g. the
+/// initiation pass reuses [`Verifier`]'s initiation frame, and the final
+/// safety check reuses the one-step frame grounded during consecution
+/// filtering.
 ///
 /// # Errors
 ///
@@ -79,34 +56,13 @@ pub fn houdini_with_oracle(
     let mut set = candidates;
     let mut iterations = 0usize;
 
-    // Initiation. Each query asks "can init violate this candidate?" — the
-    // frame is just the init unrolling, independent of the candidate set, so
-    // a single pass over the family suffices: a drop cannot invalidate an
-    // earlier UNSAT answer. `done` counts the verified prefix; verified
-    // candidates always survive a batch-drop (the witnessing state is an
-    // init state, and their violations were just proven init-unsatisfiable),
-    // so the scan resumes in place after each CTI.
+    // Initiation: drop every candidate some initial state falsifies, on a
+    // depth-0 scan (the frame is the init unrolling, independent of the
+    // candidate set, so one pass suffices).
     {
         let u = unroll(program, 0);
-        let mut frame = Frame::new(&u.sig);
-        frame.push("base", u.base);
-        let mut done = 0;
-        while done < set.len() {
-            let found = oracle.first_sat(
-                &frame,
-                set.len() - done,
-                |i| Goal::new("violation", not_renamed(&set[done + i].formula, &u.maps[0])),
-                |i, model| (i, project_state(&model.structure, &program.sig, &u.maps[0])),
-            )?;
-            let Some((offset, state)) = found else {
-                break;
-            };
-            iterations += 1;
-            // Batch-drop everything false in the witnessing state (including
-            // the violated candidate itself).
-            set.retain(|c| state.eval_closed(&c.formula).unwrap_or(false));
-            done += offset;
-        }
+        let mut scan = ReachScan::open(oracle, &u.sig, &u)?;
+        iterations += drop_reachable_violations(&mut scan, program, &u, 0, &mut set)?;
     }
 
     // Consecution: one oracle handle across all drop-loop rounds. The base
@@ -163,6 +119,36 @@ pub fn houdini_with_oracle(
     })
 }
 
+/// Drops from `set` every candidate falsified by some state reachable in
+/// exactly `j` steps of `u`, the unrolling `scan` runs over, and returns
+/// how many witness states that took. Each candidate's violation at depth
+/// `j` is one goal; a SAT witness batch-drops everything false in its state,
+/// the violated candidate included. The candidates before the hit were
+/// just proven unviolable at depth `j`, so they hold in the witness and the
+/// walk resumes in place. Houdini's initiation pass and `infer`'s
+/// reachability filter both run on this.
+pub(crate) fn drop_reachable_violations(
+    scan: &mut ReachScan<'_>,
+    program: &Program,
+    u: &Unrolling,
+    j: usize,
+    set: &mut Vec<Conjecture>,
+) -> Result<usize, EprError> {
+    let map = &u.maps[j];
+    let mut witnesses = 0;
+    let mut i = 0;
+    while i < set.len() {
+        let Some(model) = scan.model_at(j, not_renamed(&set[i].formula, map))? else {
+            i += 1;
+            continue;
+        };
+        witnesses += 1;
+        let state = project_state(&model, &program.sig, map);
+        set.retain(|c| state.eval_closed(&c.formula).unwrap_or(false));
+    }
+    Ok(witnesses)
+}
+
 /// Batch-drops every candidate falsified by `successor` (the projected
 /// post-state of a consecution CTI), retiring its hypothesis group. The CTI
 /// must falsify at least one candidate for the drop loop to make progress;
@@ -216,21 +202,6 @@ pub fn enumerate_candidates(
     )
 }
 
-/// Convenience: enumerate candidates and run Houdini.
-///
-/// # Errors
-///
-/// Propagates [`EprError`].
-pub fn houdini_with_template(
-    program: &Program,
-    vars_per_sort: usize,
-    max_literals: usize,
-    instance_limit: u64,
-) -> Result<HoudiniResult, EprError> {
-    let candidates = enumerate_candidates(&program.sig, vars_per_sort, max_literals);
-    houdini(program, candidates, instance_limit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +240,7 @@ action mark { havoc n; marked.insert(n) }
                 ivy_fol::parse_formula("forall X:node. ~marked(X)").unwrap(),
             ),
         ];
-        let result = houdini(&p, candidates, ivy_epr::DEFAULT_INSTANCE_LIMIT).unwrap();
+        let result = houdini_with_oracle(&p, candidates, &Arc::new(Oracle::new())).unwrap();
         let names: Vec<&str> = result.invariant.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"good1"), "{names:?}");
         assert!(names.contains(&"good2"));
@@ -288,13 +259,9 @@ action mark { havoc n; marked.insert(n) }
             "good1",
             ivy_fol::parse_formula("marked(seed)").unwrap(),
         )];
-        let err = houdini_budgeted(
-            &p,
-            candidates,
-            ivy_epr::DEFAULT_INSTANCE_LIMIT,
-            ivy_epr::Budget::UNLIMITED.with_max_conflicts(0),
-        )
-        .unwrap_err();
+        let mut oracle = Oracle::new();
+        oracle.set_budget(ivy_epr::Budget::UNLIMITED.with_max_conflicts(0));
+        let err = houdini_with_oracle(&p, candidates, &Arc::new(oracle)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -302,6 +269,19 @@ action mark { havoc n; marked.insert(n) }
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn initiation_pass_shares_the_verifiers_initiation_frame() {
+        let p = parse_program(SPREAD).unwrap();
+        let oracle = Arc::new(Oracle::new());
+        let result = houdini_with_oracle(&p, enumerate_candidates(&p.sig, 1, 1), &oracle).unwrap();
+        let before = oracle.rollup();
+        let v = Verifier::with_oracle(&p, oracle.clone());
+        assert!(v.check_initiation(&result.invariant).unwrap().is_none());
+        let after = oracle.rollup();
+        assert_eq!(after.frame_misses, before.frame_misses);
+        assert_eq!(after.frame_hits, before.frame_hits + 1);
     }
 
     #[test]
@@ -354,7 +334,8 @@ action mark { havoc n; marked.insert(n) }
         // needs the constant... constants do not appear in the template, so
         // safety is NOT provable from this template; Houdini still returns
         // the strongest inductive subset.
-        let result = houdini_with_template(&p, 1, 1, ivy_epr::DEFAULT_INSTANCE_LIMIT).unwrap();
+        let candidates = enumerate_candidates(&p.sig, 1, 1);
+        let result = houdini_with_oracle(&p, candidates, &Arc::new(Oracle::new())).unwrap();
         // "forall X. ~blue(X)" is in the template and survives.
         assert!(result
             .invariant

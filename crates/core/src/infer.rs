@@ -12,10 +12,13 @@
 //!    symmetry reduction ([`ivy_fol::canonical_clause`]) so alpha-variant
 //!    clauses are emitted once. Template variables use the `V_`-prefixed
 //!    [`ivy_fol::template_var`] names, disjoint from diagram variables.
-//! 2. **Filter** — [`houdini_with_oracle`] drops every candidate falsified
-//!    by an initiation counterexample or a consecution CTI successor. All
-//!    queries go through one shared [`Oracle`], so probes are batched
-//!    [`Oracle::first_sat`] sweeps that reuse frame-cached sessions.
+//! 2. **Filter** — a reachability pre-filter first drops every candidate
+//!    some state reachable within [`InferOptions::reach_depth`] steps
+//!    falsifies, walking the depths on one BMC scan of the unrolling. Then
+//!    [`houdini_with_oracle`] drops every candidate falsified by an
+//!    initiation counterexample or a consecution CTI successor. All
+//!    queries go through one shared [`Oracle`], so repeated frames reuse
+//!    pooled sessions.
 //! 3. **Block** — when the surviving set fails to prove safety, the loop
 //!    does not restart: it asks the [`Verifier`] for a CTI, turns the CTI
 //!    state into a blocking conjecture with the diagram machinery of
@@ -28,6 +31,7 @@
 //! ([`EprError::Inconclusive`]), never to a wrong verdict.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use ivy_epr::EprError;
@@ -36,14 +40,13 @@ use ivy_fol::{
     canonical_clause, sort_permutations, template_var, Binding, Formula, FormulaId,
     PartialStructure, Signature, Sort, Sym, Term,
 };
-use ivy_rml::Program;
-use ivy_rml::{project_state, unroll};
+use ivy_rml::{unroll, Program};
 
+use crate::bmc::ReachScan;
 use crate::generalize::{AutoGen, Generalizer};
-use crate::houdini::houdini_with_oracle;
+use crate::houdini::{drop_reachable_violations, houdini_with_oracle};
 use crate::minimize::Measure;
-use crate::oracle::{Frame, Goal, Oracle};
-use crate::vc::not_renamed;
+use crate::oracle::Oracle;
 use crate::vc::{Conjecture, Verifier, Violation};
 
 // ---------------------------------------------------------------------------
@@ -419,78 +422,41 @@ pub struct InferReport {
     pub queries: u64,
 }
 
-/// Drops every candidate violated in some state reachable within `depth`
-/// steps. Pure goal-only probing: the per-depth unrolling is grounded once
-/// and each candidate's violation is probed as a batched, retire-immediately
-/// goal ([`Oracle::first_sat`]), so no hypothesis is ever asserted — the
-/// frame stays small no matter how many candidates there are. Every SAT
-/// witness batch-drops all candidates it falsifies.
+/// Drops every candidate violated in some state reachable in `d` steps, for
+/// each `d` in `depths`. Pure goal-only probing on one [`ReachScan`] over
+/// the unrolling to the deepest `d`: each candidate's violation is a
+/// retire-immediately goal, so no hypothesis is ever asserted and the frame
+/// stays small no matter how many candidates there are. Every SAT witness
+/// batch-drops all candidates it falsifies.
 ///
 /// This is the mass-elimination stage: Houdini's consecution pass asserts
 /// one hypothesis per surviving candidate, so it must only ever see the
 /// (much smaller) set of candidates that at least *look* invariant out to
-/// `depth` steps.
+/// the deepest depth. The filter is best-effort: a depth whose grounding
+/// passes the oracle's instance limit ends it, since every deeper prefix
+/// only adds instances (budget exhaustion still propagates).
 fn reachability_filter(
     program: &Program,
     oracle: &Arc<Oracle>,
     set: &mut Vec<Conjecture>,
-    depth: usize,
+    depths: RangeInclusive<usize>,
     states: &mut usize,
 ) -> Result<(), EprError> {
-    for d in 0..=depth {
-        reachability_filter_at(program, oracle, set, d, states)?;
-    }
-    Ok(())
-}
-
-/// One depth of [`reachability_filter`]: drops candidates violated in some
-/// state reachable in exactly `d` steps.
-fn reachability_filter_at(
-    program: &Program,
-    oracle: &Arc<Oracle>,
-    set: &mut Vec<Conjecture>,
-    d: usize,
-    states: &mut usize,
-) -> Result<(), EprError> {
-    {
-        let u = unroll(program, d);
-        let mut frame = Frame::new(&u.sig);
-        frame.push("base", u.base);
-        for (i, step) in u.steps.iter().enumerate() {
-            frame.push(format!("step{i}"), *step);
+    let u = unroll(program, *depths.end());
+    let walk = || -> Result<(), EprError> {
+        let mut scan = ReachScan::open(oracle, &u.sig, &u)?;
+        for d in depths {
+            *states += drop_reachable_violations(&mut scan, program, &u, d, set)?;
         }
-        let map = &u.maps[d];
-        let mut done = 0;
-        while done < set.len() {
-            let found = match oracle.first_sat(
-                &frame,
-                set.len() - done,
-                |i| Goal::new("violation", not_renamed(&set[done + i].formula, map)),
-                |i, model| (i, project_state(&model.structure, &program.sig, map)),
-            ) {
-                Ok(found) => found,
-                // The filter is best-effort mass elimination: a depth whose
-                // own unrolling exceeds the instance limit is skipped, not
-                // fatal (budget exhaustion still propagates).
-                Err(EprError::TooManyInstances { .. }) => {
-                    debug(|| format!("reach filter depth {d} over the instance limit, skipped"));
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let Some((offset, state)) = found else {
-                break;
-            };
-            *states += 1;
-            // Batch-drop everything false in the witnessing reachable state
-            // (including the violated candidate itself). Candidates before
-            // the hit were just proven unviolable at this depth and always
-            // survive, so the scan resumes in place.
-            set.retain(|c| state.eval_closed(&c.formula).unwrap_or(false));
-            done += offset;
+        Ok(())
+    };
+    match walk() {
+        Err(EprError::TooManyInstances { .. }) => {
+            debug(|| "reach filter over the instance limit, stopped".into());
+            Ok(())
         }
+        other => other,
     }
-    Ok(())
 }
 
 /// Rediscovers an inductive invariant proving `program`'s safety from its
@@ -538,7 +504,7 @@ pub fn infer(
         program,
         oracle,
         &mut pool,
-        opts.reach_depth,
+        0..=opts.reach_depth,
         &mut report.filter_states,
     )?;
     report.filtered_out += before - pool.len();
@@ -601,11 +567,11 @@ pub fn infer(
                 Err(EprError::TooManyInstances { .. }) => {
                     reach += 1;
                     let before = pool.len();
-                    reachability_filter_at(
+                    reachability_filter(
                         program,
                         oracle,
                         &mut pool,
-                        reach,
+                        reach..=reach,
                         &mut report.filter_states,
                     )?;
                     report.filtered_out += before - pool.len();
@@ -780,7 +746,7 @@ pub fn infer(
                 program,
                 oracle,
                 &mut delta,
-                reach,
+                0..=reach,
                 &mut report.filter_states,
             )?;
             report.filtered_out += before - delta.len();
@@ -892,6 +858,30 @@ action mark { havoc n; marked.insert(n) }
         let v = Verifier::new(&p);
         assert!(v.check(&report.invariant).unwrap().is_inductive());
         assert!(report.queries > 0);
+    }
+
+    #[test]
+    fn reachability_filter_walks_every_depth_on_one_session() {
+        let p = parse_program(SPREAD).unwrap();
+        let oracle = Arc::new(Oracle::new());
+        let mut pool = generate_clauses(&p.sig, &TemplateSpec::for_program(&p, 1, 2));
+        let before = pool.len();
+        let mut states = 0;
+        reachability_filter(&p, &oracle, &mut pool, 0..=2, &mut states).unwrap();
+        assert!(
+            states > 0 && pool.len() < before,
+            "{before} -> {}",
+            pool.len()
+        );
+        assert_eq!(oracle.rollup().sessions_built, 1);
+        // Every survivor holds in every state reachable within two steps.
+        let bmc = crate::Bmc::new(&p);
+        for c in &pool {
+            assert!(
+                bmc.check_k_invariance(&c.formula, 2).unwrap().is_none(),
+                "{c}"
+            );
+        }
     }
 
     #[test]

@@ -18,10 +18,7 @@ pub mod viz;
 
 pub use bmc::{Bmc, Trace};
 pub use generalize::{implied, AutoGen, Generalizer};
-pub use houdini::{
-    enumerate_candidates, houdini, houdini_budgeted, houdini_with_oracle, houdini_with_template,
-    HoudiniResult,
-};
+pub use houdini::{enumerate_candidates, houdini_with_oracle, HoudiniResult};
 pub use infer::{
     generate_clauses, generate_clauses_into, infer, InferOptions, InferReport, InferStatus,
     TemplateSpec,

@@ -42,12 +42,14 @@
 //!
 //! Each frame assert is its own session group, so a handle can query a
 //! *prefix* of the frame ([`Oracle::open_prefix`],
-//! [`FrameSession::set_frame_prefix`]) — BMC's deepening scan over `base`
-//! plus `k` transition steps. A cold session grounds frame asserts only up
-//! to the active prefix; a pooled session always holds the whole frame
-//! grounded and masks the suffix by not assuming its groups. A handle is
-//! checked in only once every frame assert is grounded, with every frame
-//! group re-enabled, so the pool never holds a partial frame.
+//! [`FrameSession::set_frame_prefix`]) — the depth scan over `base` plus
+//! `k` transition steps that BMC, BMC + Auto Generalize, Houdini's
+//! initiation pass and `infer`'s reachability filter all run on. A cold
+//! session grounds frame asserts only up to the active prefix; a pooled
+//! session always holds the whole frame grounded and masks the suffix by
+//! not assuming its groups. A handle is checked in only once every frame
+//! assert is grounded, with every frame group re-enabled, so the pool
+//! never holds a partial frame.
 //!
 //! # Sharing across threads and tenants
 //!
@@ -226,9 +228,7 @@ impl OracleShared {
 /// budget, while every view warms (and is warmed by) the same
 /// frame-keyed cache. Checked-out sessions are owned by exactly one
 /// [`FrameSession`] at a time (the pool *removes* on checkout), so views
-/// on different threads can never hand one solver to two requests. Use
-/// [`Oracle::detached`] for the old semantics: a configuration copy with
-/// an empty pool and fresh telemetry.
+/// on different threads can never hand one solver to two requests.
 pub struct Oracle {
     strategy: QueryStrategy,
     mode: InstantiationMode,
@@ -285,15 +285,6 @@ impl Oracle {
     /// per-request budgets while every request hits the same frame cache.
     pub fn view(&self) -> Oracle {
         self.clone()
-    }
-
-    /// An oracle with this oracle's configuration but an *empty* session
-    /// pool and fresh telemetry — a fully independent instance.
-    pub fn detached(&self) -> Oracle {
-        Oracle {
-            shared: Arc::new(OracleShared::new()),
-            ..self.clone()
-        }
     }
 
     /// Bounds the shared session pool (shared by every view; excess
@@ -418,33 +409,6 @@ impl Oracle {
         Ok(None)
     }
 
-    /// Like [`Oracle::first_sat`], but each query may probe a *different*
-    /// frame (e.g. one per unrolling depth). Under
-    /// [`QueryStrategy::Session`] each frame's session comes from the pool,
-    /// so repeated families over the same frames stay warm.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Oracle::first_sat`].
-    pub fn first_sat_frames<'f, T, P, W>(
-        &self,
-        count: usize,
-        probe: P,
-        witness: W,
-    ) -> Result<Option<T>, EprError>
-    where
-        P: Fn(usize) -> (&'f Frame, Goal),
-        W: Fn(usize, &Model) -> T,
-    {
-        for i in 0..count {
-            let (frame, goal) = probe(i);
-            if let Some(m) = sat_model(self.solve(frame, &goal)?)? {
-                return Ok(Some(witness(i, &m)));
-            }
-        }
-        Ok(None)
-    }
-
     /// Opens a handle for a *stateful* query family over one frame: the
     /// caller asserts, toggles, and retires its own groups on top of the
     /// frame (Houdini's hypothesis juggling, minimization's constraint
@@ -461,8 +425,8 @@ impl Oracle {
 
     /// Like [`Oracle::open`], but only the first `n` frame asserts
     /// constrain queries until [`FrameSession::set_frame_prefix`] moves the
-    /// prefix (BMC's deepening step scan: `base` plus `k` steps, queried at
-    /// prefix `j + 1` for depth `j`). A cold session grounds frame asserts
+    /// prefix (the depth scan: `base` plus `k` steps, queried at prefix
+    /// `j + 1` for depth `j`). A cold session grounds frame asserts
     /// only up to the active prefix, so a scan that stops early never pays
     /// for the deeper steps; a pooled session holds every frame assert
     /// grounded, and the asserts past the prefix are merely disabled.

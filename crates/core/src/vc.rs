@@ -16,10 +16,11 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use ivy_epr::{Budget, EprError};
-use ivy_fol::intern::{self, FormulaId, Interner};
+use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::{Formula, Structure};
 use ivy_rml::{project_state, unroll, unroll_free, Program, SymMap, Unrolling};
 
+use crate::bmc::{safety_cases, step_action};
 use crate::oracle::{sat_model, Frame, FrameSession, Goal, Oracle, QueryStrategy};
 
 /// Interns `phi` renamed through `map` — the pervasive "conjecture at a
@@ -275,7 +276,7 @@ impl<'p> Verifier<'p> {
     pub fn check_safety(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
         let u = self.one_step_unrolling();
         let frame = self.invariant_frame(u, conjectures);
-        let cases = safety_cases(self.program, u);
+        let cases = safety_cases(self.program, u, 0);
         self.oracle.first_sat(
             &frame,
             cases.len(),
@@ -318,17 +319,12 @@ impl<'p> Verifier<'p> {
     /// the step query, labeling the step with the action whose path formula
     /// the model satisfies.
     fn consecution_cti(&self, u: &Unrolling, c: &Conjecture, model: &Structure) -> Cti {
-        let action = u.step_paths[0]
-            .iter()
-            .find(|(_, f)| model.eval_closed(&intern::resolve(*f)).unwrap_or(false))
-            .map(|(n, _)| n.clone())
-            .unwrap_or_default();
         Cti {
             state: project_state(model, &self.program.sig, &u.maps[0]),
             successor: Some(project_state(model, &self.program.sig, &u.maps[1])),
             violation: Violation::Consecution {
                 conjecture: c.name.clone(),
-                action,
+                action: step_action(u, 0, model),
             },
         }
     }
@@ -358,7 +354,7 @@ impl<'p> Verifier<'p> {
             }
             Violation::Safety { property } => {
                 let u = self.one_step_unrolling();
-                let Some((_, bad)) = safety_cases(self.program, u)
+                let Some((_, bad)) = safety_cases(self.program, u, 0)
                     .into_iter()
                     .find(|(label, _)| label == property)
                 else {
@@ -447,20 +443,13 @@ impl ViolationSession<'_, '_> {
             Some(model) => {
                 let m = &model.structure;
                 let (successor, violation) = match &self.violation {
-                    Violation::Consecution { conjecture, .. } => {
-                        let action = self.u.step_paths[0]
-                            .iter()
-                            .find(|(_, f)| m.eval_closed(&intern::resolve(*f)).unwrap_or(false))
-                            .map(|(n, _)| n.clone())
-                            .unwrap_or_default();
-                        (
-                            Some(project_state(m, &self.program.sig, &self.u.maps[1])),
-                            Violation::Consecution {
-                                conjecture: conjecture.clone(),
-                                action,
-                            },
-                        )
-                    }
+                    Violation::Consecution { conjecture, .. } => (
+                        Some(project_state(m, &self.program.sig, &self.u.maps[1])),
+                        Violation::Consecution {
+                            conjecture: conjecture.clone(),
+                            action: step_action(self.u, 0, m),
+                        },
+                    ),
                     v => (None, v.clone()),
                 };
                 Ok(Some(Cti {
@@ -472,29 +461,6 @@ impl ViolationSession<'_, '_> {
             None => Ok(None),
         }
     }
-}
-
-/// The violation cases checked as "safety" at an arbitrary invariant state:
-/// each declared safety property, plus abort reachability through the body
-/// and the finalization command. Returns `(label, bad formula)` pairs over
-/// the vocabulary of `u.maps[0]`.
-fn safety_cases(program: &Program, u: &ivy_rml::Unrolling) -> Vec<(String, FormulaId)> {
-    let state_map = &u.maps[0];
-    let mut out: Vec<(String, FormulaId)> = program
-        .safety
-        .iter()
-        .map(|(label, phi)| (label.clone(), not_renamed(phi, state_map)))
-        .collect();
-    let false_id = intern::false_id();
-    for (action, err) in &u.step_errors[0] {
-        if *err != false_id {
-            out.push((format!("abort in action `{action}`"), *err));
-        }
-    }
-    if u.final_errors[0] != false_id {
-        out.push(("abort in final".into(), u.final_errors[0]));
-    }
-    out
 }
 
 fn find_formula(conjectures: &[Conjecture], name: &str) -> Formula {

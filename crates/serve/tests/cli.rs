@@ -199,6 +199,19 @@ fn profile_flag_writes_schema_valid_report() {
     assert!(json.contains("\"phases\""), "{json}");
     assert!(json.contains("\"counters\""), "{json}");
     assert!(json.contains("\"final_check_firings\": 0"), "{json}");
+    // The size gauges are the maxima over the run's queries, never 0.
+    let report = ivy_serve::Json::parse(&json).unwrap();
+    for (block, gauge) in [
+        ("grounding", "universe"),
+        ("sat", "vars"),
+        ("sat", "clauses"),
+    ] {
+        let value = report.get(block).and_then(|b| b.get(gauge));
+        assert!(
+            value.and_then(|v| v.as_u64()) > Some(0),
+            "{block}.{gauge}: {json}"
+        );
+    }
     std::fs::remove_file(&profile).ok();
 }
 

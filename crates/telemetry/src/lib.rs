@@ -321,37 +321,6 @@ impl QueryReport {
         self.atom_cache_misses += other.atom_cache_misses;
     }
 
-    /// Rebuilds a merged report from the global counter registry — the
-    /// publication target of the per-query builder in `ivy-epr`. Front
-    /// ends that drive whole verification loops (and never see the
-    /// individual per-query reports) use this to recover the cumulative
-    /// numbers; outcome, wall time, and cache-layer stats not published
-    /// as counters are left for the caller to fill in.
-    pub fn from_global_counters() -> QueryReport {
-        let counters = counter_snapshot();
-        let get = |name: &str| {
-            counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        QueryReport {
-            queries: get("epr.queries"),
-            instances: get("epr.instances"),
-            equality_clauses: get("epr.equality_clauses"),
-            final_check_firings: get("epr.final_check_firings"),
-            decisions: get("sat.decisions"),
-            propagations: get("sat.propagations"),
-            conflicts: get("sat.conflicts"),
-            restarts: get("sat.restarts"),
-            deleted_clauses: get("sat.deleted_clauses"),
-            atom_cache_hits: get("cache.atom_hits"),
-            atom_cache_misses: get("cache.atom_misses"),
-            ..QueryReport::default()
-        }
-    }
-
     pub fn intern_hit_rate(&self) -> f64 {
         rate(self.intern_hits, self.intern_misses)
     }

@@ -7,7 +7,9 @@
 //! assumption groups, learnt clauses, equality lemmas) never
 //! changes an answer.
 
-use ivy_core::{Bmc, Conjecture, Inductiveness, QueryStrategy, Trace, Verifier, Violation};
+use std::sync::Arc;
+
+use ivy_core::{Bmc, Conjecture, Inductiveness, Oracle, QueryStrategy, Trace, Verifier, Violation};
 use ivy_fol::parse_formula;
 use ivy_protocols::{evaluation, leader, Protocol};
 use ivy_rml::Program;
@@ -16,6 +18,14 @@ fn check_with(program: &Program, strategy: QueryStrategy, inv: &[Conjecture]) ->
     let mut v = Verifier::new(program);
     v.set_strategy(strategy);
     v.check(inv).unwrap()
+}
+
+/// BMC over an oracle that re-solves every depth from scratch: the
+/// reference path.
+fn fresh_bmc(program: &Program) -> Bmc<'_> {
+    let mut oracle = Oracle::new();
+    oracle.set_strategy(QueryStrategy::Fresh);
+    Bmc::with_oracle(program, Arc::new(oracle))
 }
 
 fn violation_of(result: &Inductiveness) -> Option<Violation> {
@@ -59,10 +69,8 @@ fn strategies_agree_on_all_protocols() {
 #[test]
 fn incremental_bmc_agrees_with_fresh() {
     for Protocol { name, program, .. } in evaluation() {
-        let mut fresh = Bmc::new(&program);
-        fresh.set_incremental(false);
-        let mut incremental = Bmc::new(&program);
-        incremental.set_incremental(true);
+        let fresh = fresh_bmc(&program);
+        let incremental = Bmc::new(&program);
         let k = 2;
         let f = fresh.check_safety(k).unwrap();
         let i = incremental.check_safety(k).unwrap();
@@ -106,8 +114,7 @@ fn warm_bmc_agrees_with_fresh_and_cold() {
     let k = 2;
     let always = parse_formula("true").unwrap();
     for (name, program) in &programs {
-        let mut fresh = Bmc::new(program);
-        fresh.set_incremental(false);
+        let fresh = fresh_bmc(program);
         let session = Bmc::new(program);
         let reference = bmc_answer(fresh.check_safety(k).unwrap());
         let cold = bmc_answer(session.check_safety(k).unwrap());
