@@ -10,11 +10,13 @@
 //! figures all          # everything above
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ivy_bench::{figure14_row, protocols, timed};
 use ivy_core::{
-    trace_to_text, Bmc, Conjecture, Measure, Projection, Session, SessionOutcome, VizOptions,
+    trace_to_text, Bmc, Conjecture, Measure, Oracle, Projection, Session, SessionOutcome,
+    VizOptions,
 };
 use ivy_fol::{parse_formula, Sort};
 use ivy_protocols::leader;
@@ -171,8 +173,9 @@ fn bmc_table() {
     println!("\n== Section 2.2: BMC depth sweep (leader election, correct model) ==");
     println!("{:>6} {:>12} {:>12}", "bound", "result", "time");
     let program = leader::program();
-    let mut bmc = Bmc::new(&program);
-    bmc.set_instance_limit(50_000_000);
+    let mut oracle = Oracle::new();
+    oracle.set_instance_limit(50_000_000);
+    let bmc = Bmc::with_oracle(&program, Arc::new(oracle));
     for k in 0..=6 {
         let start = Instant::now();
         let out = bmc.check_safety(k).expect("bmc");

@@ -23,10 +23,6 @@
 //! * `--timeout SECS` — wall-clock budget. On expiry the run prints
 //!   `unknown (deadline exceeded)` and exits with code 3; it never
 //!   reports a wrong verdict or panics.
-//! * `--strategy fresh|session` — how the solver oracle discharges
-//!   queries: re-ground per query, or reuse frame-cached incremental
-//!   sessions (the default). Not accepted by `serve`, which always pools
-//!   sessions, nor by `client`.
 //! * `--bound N` — bounded quantifier instantiation: ground terms are
 //!   built only to nesting depth N, which admits models *outside* the
 //!   EPR fragment (unstratified functions, `∀∃` alternations). UNSAT
@@ -51,9 +47,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ivy_core::{
-    houdini_with_oracle, Bmc, Conjecture, Inductiveness, Oracle, QueryStrategy, Verifier,
-};
+use ivy_core::{houdini_with_oracle, Bmc, Conjecture, Inductiveness, Oracle, Verifier};
 use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::parse_formula;
 use ivy_rml::{check_program, parse_program, CheckError, Program};
@@ -80,10 +74,6 @@ fn main() -> ExitCode {
         None => Budget::UNLIMITED,
         Some(secs) => Budget::with_timeout(Duration::from_secs_f64(secs)),
     };
-    let strategy_flag = match take_flag(&mut args, "--strategy") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
     let bound_flag = match take_flag(&mut args, "--bound") {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
@@ -95,15 +85,6 @@ fn main() -> ExitCode {
             return usage_error("--bound expects a positive instantiation depth");
         }
     };
-    let strategy = match strategy_flag.as_deref() {
-        None | Some("session") => QueryStrategy::Session,
-        Some("fresh") => QueryStrategy::Fresh,
-        Some(other) => {
-            return usage_error(&format!(
-                "unknown --strategy `{other}` (expected fresh|session)"
-            ));
-        }
-    };
     // The daemon and its thin driver bypass the one-shot oracle path:
     // `serve` owns a long-lived shared oracle, `client` owns none.
     match args.first().map(String::as_str) {
@@ -111,11 +92,6 @@ fn main() -> ExitCode {
             if profile_path.is_some() {
                 return usage_error(
                     "--profile is not supported with `serve`; every response carries a profile",
-                );
-            }
-            if strategy_flag.is_some() {
-                return usage_error(
-                    "--strategy is not supported with `serve`; the server always pools sessions",
                 );
             }
             let default_timeout = timeout_secs.map(Duration::from_secs_f64);
@@ -127,11 +103,6 @@ fn main() -> ExitCode {
                     "--profile is not supported with `client`; every response carries a profile",
                 );
             }
-            if strategy_flag.is_some() {
-                return usage_error(
-                    "--strategy is not supported with `client`; the server always pools sessions",
-                );
-            }
             let timeout_ms = timeout_secs.map(|s| (s * 1e3).ceil() as u64);
             return cmd_client(&args[1..], timeout_ms, bound);
         }
@@ -139,7 +110,6 @@ fn main() -> ExitCode {
     }
     let mut oracle = Oracle::new();
     oracle.set_budget(budget);
-    oracle.set_strategy(strategy);
     if let Some(depth) = bound {
         oracle.set_mode(InstantiationMode::Bounded(depth));
     }
@@ -226,7 +196,7 @@ fn write_profile(
 fn usage() -> Result<(ExitCode, &'static str), Box<dyn std::error::Error>> {
     eprintln!(
         "usage: ivy <check|bmc|kinv|prove|cti|dot|houdini|infer|serve|client> MODEL.rml [args] \
-         [--timeout SECS] [--strategy fresh|session] [--bound N] [--profile OUT.json]\n\
+         [--timeout SECS] [--bound N] [--profile OUT.json]\n\
          ivy serve  --listen ADDR | --socket PATH [--workers N] [--queue N] \
          [--max-timeout SECS] [--max-instances N]\n\
          ivy client --connect ADDR|unix:PATH <prove|bmc|houdini|infer|generalize|status|shutdown> \

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ivy_epr::{Budget, EprError, EprOutcome};
+use ivy_epr::{EprError, EprOutcome};
 use ivy_fol::intern::{self, FormulaId};
 use ivy_fol::{Formula, Signature, Structure};
 use ivy_rml::{project_state, unroll, Program, Unrolling};
@@ -114,6 +114,13 @@ impl<'p> Bmc<'p> {
     /// it with other engines shares the frame-keyed session cache too. An
     /// oracle set to [`crate::QueryStrategy::Fresh`] re-solves every depth
     /// from scratch (the reference behavior).
+    ///
+    /// The oracle's budget applies to every query; exhausting it surfaces
+    /// as [`EprError::Inconclusive`], never as a spurious "no trace up to
+    /// depth k". Its instance limit covers the unrolling's base and every
+    /// step grounded so far: a cold scan grounds steps only as it deepens,
+    /// so a shallow violation is found within a limit too small for all
+    /// `k` steps.
     pub fn with_oracle(program: &'p Program, oracle: Arc<Oracle>) -> Bmc<'p> {
         Bmc { program, oracle }
     }
@@ -121,25 +128,6 @@ impl<'p> Bmc<'p> {
     /// The engine's oracle.
     pub fn oracle(&self) -> &Arc<Oracle> {
         &self.oracle
-    }
-
-    /// Installs a resource budget applied to every underlying EPR query;
-    /// exceeding it surfaces as [`EprError::Inconclusive`], never as a
-    /// spurious "no trace up to depth k".
-    pub fn set_budget(&mut self, budget: Budget) {
-        Arc::make_mut(&mut self.oracle).set_budget(budget);
-    }
-
-    /// Caps grounding size per query (see
-    /// [`ivy_epr::EprSession::set_instance_limit`]). On a pooling oracle
-    /// the budget is cumulative per session: it covers the unrolling's
-    /// base, every step grounded so far, and the violations of every scan
-    /// the session served (an exhausted recycled session is rebuilt
-    /// transparently). A cold scan grounds steps only as it deepens, so a
-    /// shallow violation is found within a budget too small for all `k`
-    /// steps.
-    pub fn set_instance_limit(&mut self, limit: u64) {
-        Arc::make_mut(&mut self.oracle).set_instance_limit(limit);
     }
 
     /// Checks whether `phi` is `k`-invariant: true in every state reachable
@@ -254,16 +242,10 @@ impl<'o> ReachScan<'o> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::QueryStrategy;
+    use crate::oracle::{configured, QueryStrategy};
+    use ivy_epr::Budget;
     use ivy_fol::parse_formula;
     use ivy_rml::{check_program, parse_program};
-
-    /// An oracle that re-solves every query from scratch.
-    fn fresh_oracle() -> Arc<Oracle> {
-        let mut oracle = Oracle::new();
-        oracle.set_strategy(QueryStrategy::Fresh);
-        Arc::new(oracle)
-    }
 
     /// A counter-ish protocol: tokens spread from a seed; the (wrong)
     /// property "no two distinct marked nodes" is violated in 2 steps.
@@ -304,8 +286,10 @@ action mark_one {
         // be reported "invariant up to depth k": a budgeted None from the
         // solver surfaces as Inconclusive, never as a bound.
         let p = spread();
-        let mut bmc = Bmc::new(&p);
-        bmc.set_budget(Budget::UNLIMITED.with_max_conflicts(0));
+        let bmc = Bmc::with_oracle(
+            &p,
+            configured(|o| o.set_budget(Budget::UNLIMITED.with_max_conflicts(0))),
+        );
         let phi = parse_formula("marked(seed)").unwrap();
         let err = bmc.check_k_invariance(&phi, 3).unwrap_err();
         assert!(
@@ -417,8 +401,7 @@ action mark { havoc n; marked.insert(n) }
         let limit = probe.oracle().rollup().report.instances;
         // That budget admits base plus two steps but not base plus eight:
         // a scan that must reach depth 8 overflows it.
-        let mut bmc = Bmc::new(&p);
-        bmc.set_instance_limit(limit);
+        let bmc = Bmc::with_oracle(&p, configured(|o| o.set_instance_limit(limit)));
         let invariant = parse_formula("marked(seed)").unwrap();
         assert!(matches!(
             bmc.check_k_invariance(&invariant, 8),
@@ -426,10 +409,11 @@ action mark { havoc n; marked.insert(n) }
         ));
         // The lazy scan still stops at depth 2 within it, cold and fresh.
         for strategy in [QueryStrategy::Session, QueryStrategy::Fresh] {
-            let mut oracle = Oracle::new();
-            oracle.set_strategy(strategy);
-            let mut bmc = Bmc::with_oracle(&p, Arc::new(oracle));
-            bmc.set_instance_limit(limit);
+            let oracle = configured(|o| {
+                o.set_strategy(strategy);
+                o.set_instance_limit(limit);
+            });
+            let bmc = Bmc::with_oracle(&p, oracle);
             let trace = bmc.check_k_invariance(&phi, 8).unwrap().unwrap();
             assert_eq!(trace.steps(), 2, "{strategy:?}");
         }
@@ -467,7 +451,7 @@ action mark_one {
         assert_eq!(after.sessions_built, before.sessions_built);
         assert_eq!(trace.violated, "at_most_one");
         assert_eq!(trace.steps(), 1);
-        let fresh = Bmc::with_oracle(&p, fresh_oracle());
+        let fresh = Bmc::with_oracle(&p, configured(|o| o.set_strategy(QueryStrategy::Fresh)));
         assert_eq!(fresh.check_safety(3).unwrap().unwrap().steps(), 1);
     }
 
@@ -496,7 +480,7 @@ action mark_one {
     #[test]
     fn non_incremental_mode_agrees() {
         let p = spread();
-        let bmc = Bmc::with_oracle(&p, fresh_oracle());
+        let bmc = Bmc::with_oracle(&p, configured(|o| o.set_strategy(QueryStrategy::Fresh)));
         let phi = parse_formula("forall X:node, Y:node. marked(X) & marked(Y) -> X = Y").unwrap();
         let trace = bmc.check_k_invariance(&phi, 3).unwrap().unwrap();
         assert_eq!(trace.steps(), 1);

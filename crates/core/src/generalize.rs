@@ -70,6 +70,8 @@ impl<'p> Generalizer<'p> {
 
     /// Creates a generalizer issuing every query through `oracle` — sharing
     /// it with other engines shares the frame-keyed session cache too.
+    /// Exhausting the oracle's budget surfaces as
+    /// [`EprError::Inconclusive`] rather than a wrong minimization step.
     pub fn with_oracle(program: &'p Program, oracle: Arc<Oracle>) -> Self {
         Generalizer { program, oracle }
     }
@@ -77,23 +79,6 @@ impl<'p> Generalizer<'p> {
     /// The engine's oracle.
     pub fn oracle(&self) -> &Arc<Oracle> {
         &self.oracle
-    }
-
-    /// Replaces the oracle (e.g. after reconfiguring a shared one).
-    pub fn set_oracle(&mut self, oracle: Arc<Oracle>) {
-        self.oracle = oracle;
-    }
-
-    /// Caps grounding size per query.
-    pub fn set_instance_limit(&mut self, limit: u64) {
-        Arc::make_mut(&mut self.oracle).set_instance_limit(limit);
-    }
-
-    /// Installs a resource budget applied to every embedding query;
-    /// exceeding it surfaces as [`EprError::Inconclusive`] rather than a
-    /// wrong minimization step.
-    pub fn set_budget(&mut self, budget: ivy_epr::Budget) {
-        Arc::make_mut(&mut self.oracle).set_budget(budget);
     }
 
     /// Runs BMC + Auto Generalize on the upper bound `s_u` with bound `k`.

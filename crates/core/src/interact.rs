@@ -153,7 +153,6 @@ pub struct SessionStats {
 pub struct Session<'p> {
     verifier: Verifier<'p>,
     generalizer: Generalizer<'p>,
-    oracle: Arc<Oracle>,
     program: &'p Program,
     measures: Vec<Measure>,
     conjectures: Vec<Conjecture>,
@@ -182,8 +181,7 @@ impl<'p> Session<'p> {
         let fresh_index = initial.len();
         Session {
             verifier: Verifier::with_oracle(program, oracle.clone()),
-            generalizer: Generalizer::with_oracle(program, oracle.clone()),
-            oracle,
+            generalizer: Generalizer::with_oracle(program, oracle),
             program,
             measures,
             conjectures: initial,
@@ -192,21 +190,9 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// Caps grounding size per query. Derives a reconfigured view of the
-    /// shared oracle (cloning shares the session pool, so warm groundings
-    /// survive the change).
-    pub fn set_instance_limit(&mut self, limit: u64) {
-        let mut o = Oracle::clone(&self.oracle);
-        o.set_instance_limit(limit);
-        let o = Arc::new(o);
-        self.oracle = o.clone();
-        self.verifier.set_oracle(o.clone());
-        self.generalizer.set_oracle(o);
-    }
-
     /// The session's shared oracle.
     pub fn oracle(&self) -> &Arc<Oracle> {
-        &self.oracle
+        self.verifier.oracle()
     }
 
     /// The current candidate invariant.

@@ -465,12 +465,6 @@ impl Oracle {
         self.shared.rollup.lock().unwrap().clone()
     }
 
-    /// Drops every pooled session (configuration unchanged; affects all
-    /// views).
-    pub fn clear_cache(&self) {
-        self.shared.pool.lock().unwrap().clear();
-    }
-
     /// Takes a session for `frame` from the pool (every frame assert
     /// grounded), or grounds one for the first `prefix` frame asserts.
     fn checkout(&self, frame: &Frame, key: u64, prefix: usize) -> Result<LiveState, EprError> {
@@ -871,6 +865,15 @@ impl Drop for FrameSession<'_> {
     }
 }
 
+/// A new oracle configured by `configure`, ready to share between
+/// engines through `with_oracle`.
+#[cfg(test)]
+pub(crate) fn configured(configure: impl FnOnce(&mut Oracle)) -> Arc<Oracle> {
+    let mut oracle = Oracle::new();
+    configure(&mut oracle);
+    Arc::new(oracle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,6 +951,32 @@ mod tests {
         other.push("base", fid("r(a)"));
         oracle.solve(&other, &goal).unwrap();
         assert_eq!(oracle.rollup().frame_misses, 2);
+    }
+
+    #[test]
+    fn views_share_the_pool_but_not_configuration() {
+        let sig = sig();
+        let mut frame = Frame::new(&sig);
+        frame.push("base", fid("forall X:s. r(X)"));
+        let goal = Goal::new("g", fid("r(a)"));
+        let root = Oracle::new();
+        let mut view = root.view();
+        let budget = Budget::UNLIMITED.with_max_conflicts(1_000);
+        view.set_budget(budget);
+        view.set_instance_limit(1_000);
+        // A tighter view leaves the root's settings alone.
+        assert_eq!(root.budget(), Budget::UNLIMITED);
+        assert_eq!(root.instance_limit(), DEFAULT_INSTANCE_LIMIT);
+        assert_eq!(view.budget(), budget);
+        assert_eq!(view.instance_limit(), 1_000);
+        // The view's cold query grounds the session the root then reuses,
+        // and the root's query warms the view in turn.
+        assert!(view.solve(&frame, &goal).unwrap().is_sat());
+        assert!(root.solve(&frame, &goal).unwrap().is_sat());
+        assert!(view.solve(&frame, &goal).unwrap().is_sat());
+        let rollup = root.rollup();
+        assert_eq!((rollup.frame_misses, rollup.frame_hits), (1, 2));
+        assert_eq!(view.rollup().sessions_built, 1);
     }
 
     #[test]

@@ -24,14 +24,12 @@ use crate::vc::Cti;
 
 /// Closure type for scripted CTI decisions.
 pub type CtiScript = Box<dyn FnMut(&SessionCtx<'_>, &Cti) -> CtiDecision>;
-/// Closure type for scripted proposal decisions.
-pub type ProposalScript = Box<dyn FnMut(&SessionCtx<'_>, &Proposal) -> ProposalDecision>;
 
-/// Replays scripted decisions; stops when the script runs dry.
+/// Replays scripted CTI decisions; stops when the script runs dry and
+/// accepts every proposal.
 #[derive(Default)]
 pub struct ScriptedUser {
     cti_steps: VecDeque<CtiScript>,
-    proposal_steps: VecDeque<ProposalScript>,
 }
 
 impl ScriptedUser {
@@ -46,15 +44,6 @@ impl ScriptedUser {
         f: impl FnMut(&SessionCtx<'_>, &Cti) -> CtiDecision + 'static,
     ) -> &mut Self {
         self.cti_steps.push_back(Box::new(f));
-        self
-    }
-
-    /// Appends a proposal decision (when absent, proposals are accepted).
-    pub fn push_proposal(
-        &mut self,
-        f: impl FnMut(&SessionCtx<'_>, &Proposal) -> ProposalDecision + 'static,
-    ) -> &mut Self {
-        self.proposal_steps.push_back(Box::new(f));
         self
     }
 }
@@ -76,11 +65,8 @@ impl User for ScriptedUser {
         TooStrongDecision::Stop
     }
 
-    fn on_proposal(&mut self, ctx: &SessionCtx<'_>, proposal: &Proposal) -> ProposalDecision {
-        match self.proposal_steps.pop_front() {
-            Some(mut f) => f(ctx, proposal),
-            None => ProposalDecision::Accept,
-        }
+    fn on_proposal(&mut self, _ctx: &SessionCtx<'_>, _proposal: &Proposal) -> ProposalDecision {
+        ProposalDecision::Accept
     }
 }
 

@@ -15,13 +15,13 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use ivy_epr::{Budget, EprError};
+use ivy_epr::EprError;
 use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::{Formula, Structure};
 use ivy_rml::{project_state, unroll, unroll_free, Program, SymMap, Unrolling};
 
 use crate::bmc::{safety_cases, step_action};
-use crate::oracle::{sat_model, Frame, FrameSession, Goal, Oracle, QueryStrategy};
+use crate::oracle::{sat_model, Frame, FrameSession, Goal, Oracle};
 
 /// Interns `phi` renamed through `map` — the pervasive "conjecture at a
 /// vocabulary" operation. Renames are memoized in the interner, so repeated
@@ -185,39 +185,6 @@ impl<'p> Verifier<'p> {
         &self.oracle
     }
 
-    /// Replaces the oracle (e.g. after reconfiguring a shared one).
-    pub fn set_oracle(&mut self, oracle: Arc<Oracle>) {
-        self.oracle = oracle;
-    }
-
-    /// Caps grounding size per query (cumulative per session under
-    /// [`QueryStrategy::Session`]).
-    pub fn set_instance_limit(&mut self, limit: u64) {
-        Arc::make_mut(&mut self.oracle).set_instance_limit(limit);
-    }
-
-    /// Selects how query families are discharged.
-    pub fn set_strategy(&mut self, strategy: QueryStrategy) {
-        Arc::make_mut(&mut self.oracle).set_strategy(strategy);
-    }
-
-    /// Installs a resource budget applied to every underlying EPR query.
-    /// Exceeding it surfaces as [`EprError::Inconclusive`] rather than a
-    /// wrong verdict.
-    pub fn set_budget(&mut self, budget: Budget) {
-        Arc::make_mut(&mut self.oracle).set_budget(budget);
-    }
-
-    /// The active resource budget.
-    pub fn budget(&self) -> Budget {
-        self.oracle.budget()
-    }
-
-    /// The active query strategy.
-    pub fn strategy(&self) -> QueryStrategy {
-        self.oracle.strategy()
-    }
-
     /// Checks whether the conjunction of `conjectures` is an inductive
     /// invariant establishing the program's safety (Equation 2):
     /// initiation, safety, and consecution — in that order, returning the
@@ -332,7 +299,7 @@ impl<'p> Verifier<'p> {
     /// Opens a persistent handle for re-solving one specific violation
     /// under varying extra constraints — the workhorse of minimal-CTI search
     /// (Algorithm 1). The frame matches the corresponding inductiveness
-    /// check's frame (so under [`QueryStrategy::Session`] the descent
+    /// check's frame (so under [`crate::QueryStrategy::Session`] the descent
     /// recycles the very grounding that found the CTI), and the violation
     /// rides on top as a handle group; each [`ViolationSession::solve`]
     /// call only adds the candidate constraint as a retirable group. Each
@@ -474,6 +441,7 @@ fn find_formula(conjectures: &[Conjecture], name: &str) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{configured, QueryStrategy};
     use ivy_fol::parse_formula;
     use ivy_rml::{check_program, parse_program};
 
@@ -512,8 +480,10 @@ action mark { havoc n; marked.insert(n) }
         // reported inductive when the budget runs out first — degradation
         // surfaces as an error, never a verdict.
         let p = spread();
-        let mut v = Verifier::new(&p);
-        v.set_budget(ivy_epr::Budget::UNLIMITED.with_max_conflicts(0));
+        let v = Verifier::with_oracle(
+            &p,
+            configured(|o| o.set_budget(ivy_epr::Budget::UNLIMITED.with_max_conflicts(0))),
+        );
         let inv = vec![Conjecture::new(
             "C0",
             parse_formula("marked(seed)").unwrap(),
@@ -650,11 +620,11 @@ action bad { havoc n; assume marked(n); abort }
             ],
         ];
         for inv in &suites {
-            let mut reference = Verifier::new(&p);
-            reference.set_strategy(QueryStrategy::Fresh);
+            let reference =
+                Verifier::with_oracle(&p, configured(|o| o.set_strategy(QueryStrategy::Fresh)));
             let expected = reference.check(inv).unwrap();
-            let mut v = Verifier::new(&p);
-            v.set_strategy(QueryStrategy::Session);
+            let v =
+                Verifier::with_oracle(&p, configured(|o| o.set_strategy(QueryStrategy::Session)));
             let got = v.check(inv).unwrap();
             match (&expected, &got) {
                 (Inductiveness::Inductive, Inductiveness::Inductive) => {}
@@ -685,8 +655,7 @@ action bad { havoc n; assume marked(n); abort }
         let mut first: Option<Violation> = None;
         for strategy in [QueryStrategy::Fresh, QueryStrategy::Session] {
             for _run in 0..3 {
-                let mut v = Verifier::new(&p);
-                v.set_strategy(strategy);
+                let v = Verifier::with_oracle(&p, configured(|o| o.set_strategy(strategy)));
                 let Inductiveness::Cti(cti) = v.check(&inv).unwrap() else {
                     panic!("expected CTI");
                 };

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
 use ivy_fol::intern::{FormulaId, FormulaNode, Interner, TermNode};
-use ivy_fol::{Binding, Formula, Signature, Sort, Sym, Term};
+use ivy_fol::{Binding, Signature, Sort, Sym};
 use ivy_sat::{Interrupt, LBool, Lit, Solver, Theory, TheoryCtx, Var};
 
 use crate::ground::{TermId, TermTable};
@@ -72,8 +72,7 @@ pub(crate) enum TStep {
 /// `iff`) need the full equivalence. Polarity is static — it depends only on
 /// the matrix structure, so the template walk threads it for free and the
 /// replay path can emit Plaisted–Greenbaum gates (half the clauses of full
-/// Tseitin). The tree encoder ([`Encoder::encode`]) predates polarity
-/// tracking and keeps emitting full Tseitin gates.
+/// Tseitin).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Polarity {
     Pos,
@@ -264,9 +263,8 @@ fn tautology(clause: &[CLit]) -> bool {
 /// subterm shared five times across the matrix is evaluated once per ground
 /// tuple instead of five times — and the boolean skeleton becomes a
 /// [`TNode`] tree mirroring the matrix exactly. Replaying a template
-/// ([`Encoder::assert_template`]) makes the *same* `rel_var`/`eq_lit`/gate
-/// *variable* allocations in the same DFS order as the tree encoder, so
-/// atom and gate numbering is unchanged; gate *clauses* are the
+/// ([`Encoder::assert_template`]) allocates `rel_var`/`eq_lit`/gate
+/// variables in DFS order over that tree; gate *clauses* are the
 /// Plaisted–Greenbaum subset for the gate's static polarity (roots are
 /// asserted positively under a guard, so the admissible atom assignments —
 /// and hence soundness of models and UNSAT cores — are preserved; only the
@@ -1440,88 +1438,8 @@ impl Encoder {
         v.pos()
     }
 
-    /// Evaluates a ground (variable-free after `env`) term to its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unbound variables, `ite` (eliminate first), or applications
-    /// outside the closed universe — all internal invariants.
-    pub fn term_id(&self, t: &Term, env: &[(Sym, TermId)]) -> TermId {
-        match t {
-            Term::Var(v) => {
-                env.iter()
-                    .find(|(name, _)| name == v)
-                    .unwrap_or_else(|| panic!("unbound variable {v} during grounding"))
-                    .1
-            }
-            Term::App(f, args) => {
-                let args: Vec<TermId> = args.iter().map(|a| self.term_id(a, env)).collect();
-                self.table
-                    .get(f, &args)
-                    .unwrap_or_else(|| panic!("application of {f} outside closed universe"))
-            }
-            Term::Ite(..) => panic!("ite must be eliminated before grounding"),
-        }
-    }
-
-    /// Tseitin-encodes a quantifier-free formula under a variable
-    /// environment; returns a literal equivalent to the formula.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula contains quantifiers (matrices are QF by
-    /// construction).
-    pub fn encode(&mut self, f: &Formula, env: &[(Sym, TermId)]) -> Lit {
-        match f {
-            Formula::True => self.true_lit,
-            Formula::False => !self.true_lit,
-            Formula::Rel(r, args) => {
-                let args: Vec<TermId> = args.iter().map(|a| self.term_id(a, env)).collect();
-                self.rel_var(r, &args).pos()
-            }
-            Formula::Eq(a, b) => {
-                let (a, b) = (self.term_id(a, env), self.term_id(b, env));
-                self.eq_lit(a, b)
-            }
-            Formula::Not(g) => !self.encode(g, env),
-            Formula::And(fs) => {
-                let lits: Vec<Lit> = fs.iter().map(|g| self.encode(g, env)).collect();
-                self.define_and(&lits)
-            }
-            Formula::Or(fs) => {
-                let lits: Vec<Lit> = fs.iter().map(|g| self.encode(g, env)).collect();
-                !self.define_and(&lits.iter().map(|&l| !l).collect::<Vec<_>>())
-            }
-            Formula::Implies(a, b) => {
-                let (la, lb) = (self.encode(a, env), self.encode(b, env));
-                !self.define_and(&[la, !lb])
-            }
-            Formula::Iff(a, b) => {
-                let (la, lb) = (self.encode(a, env), self.encode(b, env));
-                // g <-> (la <-> lb).
-                let g = self.solver.new_var().pos();
-                self.solver.add_clause([!g, !la, lb]);
-                self.solver.add_clause([!g, la, !lb]);
-                self.solver.add_clause([g, la, lb]);
-                self.solver.add_clause([g, !la, !lb]);
-                g
-            }
-            Formula::Forall(..) | Formula::Exists(..) => {
-                panic!("encode: quantifier in matrix (prenexing bug)")
-            }
-        }
-    }
-
-    /// Replays a compiled [`Template`] under a ground environment (`env[i]`
-    /// is the universe term instantiating the job's `i`-th binding);
-    /// returns a literal equivalent to the instantiated matrix.
-    ///
-    /// Allocates exactly the variables [`Encoder::encode`] would on the
-    /// resolved matrix, in the same order; gate clauses are the
-    /// polarity-pruned Plaisted–Greenbaum subset (the template root is used
-    /// positively, under a guard).
-    ///
-    /// Evaluates the template's ground-term step list under `env` into
+    /// Evaluates the template's ground-term step list under `env` (`env[i]`
+    /// is the universe term instantiating the job's `i`-th binding) into
     /// `vals` (cleared first); `args` is scratch space for each
     /// application's argument tuple. Returns `false` when an application falls
     /// outside the universe in bounded mode — the caller must then skip the
@@ -1699,23 +1617,6 @@ impl Encoder {
                     long.push(g);
                     self.solver.add_clause(long);
                 }
-                g
-            }
-        }
-    }
-
-    fn define_and(&mut self, lits: &[Lit]) -> Lit {
-        match lits {
-            [] => self.true_lit,
-            [l] => *l,
-            _ => {
-                let g = self.solver.new_var().pos();
-                for &l in lits {
-                    self.solver.add_clause([!g, l]);
-                }
-                let mut long: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-                long.push(g);
-                self.solver.add_clause(long);
                 g
             }
         }
@@ -2025,16 +1926,24 @@ mod tests {
         (sig, table)
     }
 
+    /// Asserts the ground formula `src` through the production path: a
+    /// template with no universals, replayed under the always-true guard.
+    fn assert_ground(enc: &mut Encoder, src: &str) {
+        let f = ivy_fol::parse_formula(src).unwrap();
+        let tpl = Interner::with(|it| {
+            let id = it.intern(&f);
+            Template::compile(it, id, &[])
+        });
+        let guard = enc.true_lit();
+        enc.assert_template(&tpl, &[], guard);
+    }
+
     #[test]
     fn encode_simple_conflict() {
         let (_, table) = simple_table();
         let mut enc = Encoder::new(table);
-        let f1 = ivy_fol::parse_formula("r(a)").unwrap();
-        let f2 = ivy_fol::parse_formula("~r(a)").unwrap();
-        let l1 = enc.encode(&f1, &[]);
-        let l2 = enc.encode(&f2, &[]);
-        enc.add_clause([l1]);
-        enc.add_clause([l2]);
+        assert_ground(&mut enc, "r(a)");
+        assert_ground(&mut enc, "~r(a)");
         enc.finalize_equality();
         assert_eq!(enc.solver_mut().solve(), SolveResult::Unsat);
     }
@@ -2044,9 +1953,7 @@ mod tests {
         let (_, table) = simple_table();
         let mut enc = Encoder::new(table);
         // a=b & b=c & r(a) & ~r(c) is unsat (needs transitivity + congruence).
-        let f = ivy_fol::parse_formula("a = b & b = c & r(a) & ~r(c)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "a = b & b = c & r(a) & ~r(c)");
         enc.finalize_equality();
         assert_eq!(enc.solver_mut().solve(), SolveResult::Unsat);
     }
@@ -2055,9 +1962,7 @@ mod tests {
     fn equality_sat_when_consistent() {
         let (_, table) = simple_table();
         let mut enc = Encoder::new(table);
-        let f = ivy_fol::parse_formula("a = b & r(a) & r(b) & ~r(c)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "a = b & r(a) & r(b) & ~r(c)");
         enc.finalize_equality();
         assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
         let classes = enc.model_parts().equality_classes();
@@ -2078,9 +1983,7 @@ mod tests {
         let table = TermTable::build(&sig);
         let mut enc = Encoder::new(table);
         // a=b & f(a) ~= f(b) is unsat by congruence.
-        let f = ivy_fol::parse_formula("a = b & f(a) ~= f(b)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "a = b & f(a) ~= f(b)");
         enc.finalize_equality();
         assert_eq!(enc.solver_mut().solve(), SolveResult::Unsat);
     }
@@ -2092,9 +1995,7 @@ mod tests {
         // Refuting r(a) & ~r(c) under a = b = c needs `a = c`, which no
         // clause mentions: transitivity allocates it mid-search, and
         // relation congruence closes the argument.
-        let f = ivy_fol::parse_formula("a = b & b = c & r(a) & ~r(c)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "a = b & b = c & r(a) & ~r(c)");
         let vars = enc.solver().num_vars();
         let (result, work) = enc.solve(&[], None);
         assert_eq!(result, SolveOutcome::Unsat);
@@ -2107,9 +2008,7 @@ mod tests {
 
         let (_, table) = simple_table();
         let mut enc = Encoder::new(table);
-        let f = ivy_fol::parse_formula("r(a) & ~r(b)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "r(a) & ~r(b)");
         assert_eq!(
             enc.solve(&[], None),
             (SolveOutcome::Sat, TheoryWork::default())
@@ -2121,9 +2020,7 @@ mod tests {
         let (_, table) = simple_table();
         let mut enc = Encoder::new(table);
         // No equality atoms at all: r(a) & ~r(b) is satisfiable.
-        let f = ivy_fol::parse_formula("r(a) & ~r(b)").unwrap();
-        let l = enc.encode(&f, &[]);
-        enc.add_clause([l]);
+        assert_ground(&mut enc, "r(a) & ~r(b)");
         let axioms = enc.finalize_equality();
         assert_eq!(axioms, 0, "no equality atoms, no axioms");
         assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);

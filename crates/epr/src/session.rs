@@ -213,7 +213,7 @@ impl EprSession {
     /// Applies a resource [`Budget`]. A deadline or conflict cap that trips
     /// mid-query makes [`EprSession::check`] return
     /// [`EprOutcome::Unknown`] with partial statistics (the session stays
-    /// usable); `max_instances` tightens the cumulative instantiation limit.
+    /// usable).
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -453,9 +453,7 @@ impl EprSession {
                 }
             }
         }
-        let limit = self
-            .instance_limit
-            .min(self.budget.max_instances.unwrap_or(u64::MAX));
+        let limit = self.instance_limit;
         if estimated > limit {
             // The group is abandoned; the session is exactly as it was.
             for (sym, sort) in reused {

@@ -10,7 +10,7 @@
 //! here ([`Interner::subst_vars`], [`Interner::nnf`], [`Interner::prenex`],
 //! [`Interner::skolemize`], ...) that are *exact ports* of the tree
 //! algorithms — byte-identical output modulo `intern`/`resolve` — with
-//! persistent memo tables keyed by id, so repeated work (the wp/transition
+//! persistent memo tables keyed by id, so repeated work (the transition
 //! clone storm, re-grounding in incremental sessions) collapses into map
 //! lookups.
 //!
@@ -169,8 +169,6 @@ pub struct Interner {
     // Interned op contexts: canonical small keys for memo tables.
     subst_envs: HashMap<Vec<(Sym, TermId)>, u32>,
     rename_envs: HashMap<Vec<(Sym, Sym)>, u32>,
-    rel_ctxs: HashMap<(Sym, Vec<Sym>, FormulaId), u32>,
-    fun_ctxs: HashMap<(Sym, Vec<Sym>, TermId), u32>,
 
     memo_subst: HashMap<(FormulaId, u32), FormulaId>,
     memo_subst_term: HashMap<(TermId, u32), TermId>,
@@ -178,10 +176,6 @@ pub struct Interner {
     memo_subst_const_term: HashMap<(TermId, Sym, TermId), TermId>,
     memo_rename: HashMap<(FormulaId, u32), FormulaId>,
     memo_rename_term: HashMap<(TermId, u32), TermId>,
-    memo_rw_rel: HashMap<(FormulaId, u32), FormulaId>,
-    memo_rw_rel_term: HashMap<(TermId, u32), TermId>,
-    memo_rw_fun: HashMap<(FormulaId, u32), FormulaId>,
-    memo_rw_fun_term: HashMap<(TermId, u32), TermId>,
     memo_nnf: HashMap<(FormulaId, bool), FormulaId>,
     memo_ite: HashMap<FormulaId, FormulaId>,
     memo_mentions: HashMap<(FormulaId, Sym), bool>,
@@ -239,18 +233,12 @@ impl Interner {
             false_id: FormulaId(1),
             subst_envs: HashMap::new(),
             rename_envs: HashMap::new(),
-            rel_ctxs: HashMap::new(),
-            fun_ctxs: HashMap::new(),
             memo_subst: HashMap::new(),
             memo_subst_term: HashMap::new(),
             memo_subst_const: HashMap::new(),
             memo_subst_const_term: HashMap::new(),
             memo_rename: HashMap::new(),
             memo_rename_term: HashMap::new(),
-            memo_rw_rel: HashMap::new(),
-            memo_rw_rel_term: HashMap::new(),
-            memo_rw_fun: HashMap::new(),
-            memo_rw_fun_term: HashMap::new(),
             memo_nnf: HashMap::new(),
             memo_ite: HashMap::new(),
             memo_mentions: HashMap::new(),
@@ -419,11 +407,6 @@ impl Interner {
     /// Cached literal occurrence count.
     pub fn literal_count(&self, f: FormulaId) -> usize {
         self.formulas[f.index()].literals
-    }
-
-    /// Whether the term contains an `ite`.
-    pub fn term_has_ite(&self, t: TermId) -> bool {
-        self.terms[t.index()].has_ite
     }
 
     /// `(hits, misses)` of the hash-consing tables, cumulative for the
@@ -1107,308 +1090,6 @@ impl Interner {
             }
         };
         self.memo_subst_const.insert((f, name, term), out);
-        out
-    }
-
-    /// Replaces every atom `r(s̄)` by `body[s̄/params]` (port of
-    /// `subst::rewrite_relation`, memoized by `(formula, rewrite context)`).
-    pub fn rewrite_relation(
-        &mut self,
-        f: FormulaId,
-        rel: Sym,
-        params: &[Sym],
-        body: FormulaId,
-    ) -> FormulaId {
-        let key = (rel, params.to_vec(), body);
-        let next = u32::try_from(self.rel_ctxs.len()).expect("ctx table overflow");
-        let ctx = *self.rel_ctxs.entry(key).or_insert(next);
-        self.rw_rel(f, rel, params, body, ctx)
-    }
-
-    fn rw_rel(
-        &mut self,
-        f: FormulaId,
-        rel: Sym,
-        params: &[Sym],
-        body: FormulaId,
-        ctx: u32,
-    ) -> FormulaId {
-        if let Some(&r) = self.memo_rw_rel.get(&(f, ctx)) {
-            return r;
-        }
-        let node = self.formulas[f.index()].node.clone();
-        let out = match node {
-            FormulaNode::True | FormulaNode::False => f,
-            FormulaNode::Rel(r, args) => {
-                let args: Vec<TermId> = args
-                    .into_iter()
-                    .map(|t| self.rw_rel_term(t, rel, params, body, ctx))
-                    .collect();
-                if r == rel {
-                    debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
-                    let map: BTreeMap<Sym, TermId> = params.iter().copied().zip(args).collect();
-                    self.subst_vars(body, &map)
-                } else {
-                    self.mk(FormulaNode::Rel(r, args))
-                }
-            }
-            FormulaNode::Eq(a, b) => {
-                let a = self.rw_rel_term(a, rel, params, body, ctx);
-                let b = self.rw_rel_term(b, rel, params, body, ctx);
-                self.mk(FormulaNode::Eq(a, b))
-            }
-            FormulaNode::Not(g) => {
-                let g = self.rw_rel(g, rel, params, body, ctx);
-                self.mk(FormulaNode::Not(g))
-            }
-            FormulaNode::And(fs) => {
-                let gs: Vec<FormulaId> = fs
-                    .into_iter()
-                    .map(|g| self.rw_rel(g, rel, params, body, ctx))
-                    .collect();
-                self.mk(FormulaNode::And(gs))
-            }
-            FormulaNode::Or(fs) => {
-                let gs: Vec<FormulaId> = fs
-                    .into_iter()
-                    .map(|g| self.rw_rel(g, rel, params, body, ctx))
-                    .collect();
-                self.mk(FormulaNode::Or(gs))
-            }
-            FormulaNode::Implies(a, b) => {
-                let a = self.rw_rel(a, rel, params, body, ctx);
-                let b = self.rw_rel(b, rel, params, body, ctx);
-                self.mk(FormulaNode::Implies(a, b))
-            }
-            FormulaNode::Iff(a, b) => {
-                let a = self.rw_rel(a, rel, params, body, ctx);
-                let b = self.rw_rel(b, rel, params, body, ctx);
-                self.mk(FormulaNode::Iff(a, b))
-            }
-            FormulaNode::Forall(bs, g) => {
-                let (bs, g) = self.rw_rel_binders(&bs, g, rel, params, body, ctx);
-                self.mk(FormulaNode::Forall(bs, g))
-            }
-            FormulaNode::Exists(bs, g) => {
-                let (bs, g) = self.rw_rel_binders(&bs, g, rel, params, body, ctx);
-                self.mk(FormulaNode::Exists(bs, g))
-            }
-        };
-        self.memo_rw_rel.insert((f, ctx), out);
-        out
-    }
-
-    fn rw_rel_binders(
-        &mut self,
-        bs: &[Binding],
-        g: FormulaId,
-        rel: Sym,
-        params: &[Sym],
-        body: FormulaId,
-        ctx: u32,
-    ) -> (Vec<Binding>, FormulaId) {
-        let mut body_free = (*self.formulas[body.index()].free).clone();
-        for p in params {
-            body_free.remove(p);
-        }
-        if bs.iter().any(|b| body_free.contains(&b.var)) {
-            let mut used = body_free.clone();
-            used.extend(self.formulas[g.index()].all_vars.iter().copied());
-            let mut renames = BTreeMap::new();
-            let mut new_bs = Vec::with_capacity(bs.len());
-            for b in bs {
-                if body_free.contains(&b.var) {
-                    let fresh = fresh_name(b.var.as_str(), &mut used);
-                    let fv = self.var(fresh);
-                    renames.insert(b.var, fv);
-                    new_bs.push(Binding::new(fresh, b.sort));
-                } else {
-                    new_bs.push(b.clone());
-                }
-            }
-            let g = self.subst_vars(g, &renames);
-            let g = self.rw_rel(g, rel, params, body, ctx);
-            (new_bs, g)
-        } else {
-            let g = self.rw_rel(g, rel, params, body, ctx);
-            (bs.to_vec(), g)
-        }
-    }
-
-    fn rw_rel_term(
-        &mut self,
-        t: TermId,
-        rel: Sym,
-        params: &[Sym],
-        body: FormulaId,
-        ctx: u32,
-    ) -> TermId {
-        if let Some(&r) = self.memo_rw_rel_term.get(&(t, ctx)) {
-            return r;
-        }
-        let node = self.terms[t.index()].node.clone();
-        let out = match node {
-            TermNode::Var(_) => t,
-            TermNode::App(g, args) => {
-                let a: Vec<TermId> = args
-                    .into_iter()
-                    .map(|x| self.rw_rel_term(x, rel, params, body, ctx))
-                    .collect();
-                self.mk_term(TermNode::App(g, a))
-            }
-            TermNode::Ite(c, a, b) => {
-                let c = self.rw_rel(c, rel, params, body, ctx);
-                let a = self.rw_rel_term(a, rel, params, body, ctx);
-                let b = self.rw_rel_term(b, rel, params, body, ctx);
-                self.mk_term(TermNode::Ite(c, a, b))
-            }
-        };
-        self.memo_rw_rel_term.insert((t, ctx), out);
-        out
-    }
-
-    /// Replaces every application `func(s̄)` by `body[s̄/params]`
-    /// simultaneously (port of `subst::rewrite_function`, memoized).
-    pub fn rewrite_function(
-        &mut self,
-        f: FormulaId,
-        func: Sym,
-        params: &[Sym],
-        body: TermId,
-    ) -> FormulaId {
-        let key = (func, params.to_vec(), body);
-        let next = u32::try_from(self.fun_ctxs.len()).expect("ctx table overflow");
-        let ctx = *self.fun_ctxs.entry(key).or_insert(next);
-        self.rw_fun(f, func, params, body, ctx)
-    }
-
-    fn rw_fun(
-        &mut self,
-        f: FormulaId,
-        func: Sym,
-        params: &[Sym],
-        body: TermId,
-        ctx: u32,
-    ) -> FormulaId {
-        if let Some(&r) = self.memo_rw_fun.get(&(f, ctx)) {
-            return r;
-        }
-        let node = self.formulas[f.index()].node.clone();
-        let out = match node {
-            FormulaNode::True | FormulaNode::False => f,
-            FormulaNode::Rel(r, args) => {
-                let a: Vec<TermId> = args
-                    .into_iter()
-                    .map(|t| self.rw_fun_term(t, func, params, body, ctx))
-                    .collect();
-                self.mk(FormulaNode::Rel(r, a))
-            }
-            FormulaNode::Eq(a, b) => {
-                let a = self.rw_fun_term(a, func, params, body, ctx);
-                let b = self.rw_fun_term(b, func, params, body, ctx);
-                self.mk(FormulaNode::Eq(a, b))
-            }
-            FormulaNode::Not(g) => {
-                let g = self.rw_fun(g, func, params, body, ctx);
-                self.mk(FormulaNode::Not(g))
-            }
-            FormulaNode::And(fs) => {
-                let gs: Vec<FormulaId> = fs
-                    .into_iter()
-                    .map(|g| self.rw_fun(g, func, params, body, ctx))
-                    .collect();
-                self.mk(FormulaNode::And(gs))
-            }
-            FormulaNode::Or(fs) => {
-                let gs: Vec<FormulaId> = fs
-                    .into_iter()
-                    .map(|g| self.rw_fun(g, func, params, body, ctx))
-                    .collect();
-                self.mk(FormulaNode::Or(gs))
-            }
-            FormulaNode::Implies(a, b) => {
-                let a = self.rw_fun(a, func, params, body, ctx);
-                let b = self.rw_fun(b, func, params, body, ctx);
-                self.mk(FormulaNode::Implies(a, b))
-            }
-            FormulaNode::Iff(a, b) => {
-                let a = self.rw_fun(a, func, params, body, ctx);
-                let b = self.rw_fun(b, func, params, body, ctx);
-                self.mk(FormulaNode::Iff(a, b))
-            }
-            FormulaNode::Forall(bs, g) | FormulaNode::Exists(bs, g) => {
-                let forall = matches!(self.formulas[f.index()].node, FormulaNode::Forall(..));
-                let mut body_free = (*self.terms[body.index()].vars).clone();
-                for p in params {
-                    body_free.remove(p);
-                }
-                let (bs, g) = if bs.iter().any(|b| body_free.contains(&b.var)) {
-                    let mut used = body_free.clone();
-                    used.extend(self.formulas[g.index()].all_vars.iter().copied());
-                    let mut renames = BTreeMap::new();
-                    let mut new_bs = Vec::with_capacity(bs.len());
-                    for b in &bs {
-                        if body_free.contains(&b.var) {
-                            let fresh = fresh_name(b.var.as_str(), &mut used);
-                            let fv = self.var(fresh);
-                            renames.insert(b.var, fv);
-                            new_bs.push(Binding::new(fresh, b.sort));
-                        } else {
-                            new_bs.push(b.clone());
-                        }
-                    }
-                    let g = self.subst_vars(g, &renames);
-                    (new_bs, g)
-                } else {
-                    (bs, g)
-                };
-                let new_body = self.rw_fun(g, func, params, body, ctx);
-                if forall {
-                    self.mk(FormulaNode::Forall(bs, new_body))
-                } else {
-                    self.mk(FormulaNode::Exists(bs, new_body))
-                }
-            }
-        };
-        self.memo_rw_fun.insert((f, ctx), out);
-        out
-    }
-
-    fn rw_fun_term(
-        &mut self,
-        t: TermId,
-        func: Sym,
-        params: &[Sym],
-        body: TermId,
-        ctx: u32,
-    ) -> TermId {
-        if let Some(&r) = self.memo_rw_fun_term.get(&(t, ctx)) {
-            return r;
-        }
-        let node = self.terms[t.index()].node.clone();
-        let out = match node {
-            TermNode::Var(_) => t,
-            TermNode::App(g, args) => {
-                let args: Vec<TermId> = args
-                    .into_iter()
-                    .map(|x| self.rw_fun_term(x, func, params, body, ctx))
-                    .collect();
-                if g == func {
-                    debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
-                    let map: BTreeMap<Sym, TermId> = params.iter().copied().zip(args).collect();
-                    self.subst_term_vars(body, &map)
-                } else {
-                    self.mk_term(TermNode::App(g, args))
-                }
-            }
-            TermNode::Ite(c, a, b) => {
-                let c = self.rw_fun(c, func, params, body, ctx);
-                let a = self.rw_fun_term(a, func, params, body, ctx);
-                let b = self.rw_fun_term(b, func, params, body, ctx);
-                self.mk_term(TermNode::Ite(c, a, b))
-            }
-        };
-        self.memo_rw_fun_term.insert((t, ctx), out);
         out
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::formula::Formula;
+use crate::formula::{Binding, Formula};
 use crate::term::Term;
 use crate::Sym;
 
@@ -199,29 +199,122 @@ pub fn subst_constant(f: &Formula, name: &Sym, term: &Term) -> Formula {
 ///
 /// `body` must be quantifier-free (as RML's update formulas are), so no
 /// capture can occur. Argument terms are rewritten first, which matters when
-/// they contain `ite` conditions mentioning `r`. Delegates to
-/// [`Interner::rewrite_relation`].
+/// they contain `ite` conditions mentioning `r`.
 pub fn rewrite_relation(f: &Formula, rel: &Sym, params: &[Sym], body: &Formula) -> Formula {
-    Interner::with(|it| {
-        let fid = it.intern(f);
-        let bid = it.intern(body);
-        let out = it.rewrite_relation(fid, *rel, params, bid);
-        it.resolve(out)
-    })
+    let bind = |args: Vec<Term>| params.iter().copied().zip(args).collect();
+    Rewrite {
+        avoid: non_param_vars(body.free_vars(), params),
+        app: &Term::App,
+        atom: &|r, args| {
+            if r == *rel {
+                debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
+                subst_vars(body, &bind(args))
+            } else {
+                Formula::Rel(r, args)
+            }
+        },
+    }
+    .formula(f)
 }
 
 /// Replaces every application `f(s̄)` in the formula by `body[s̄/params]`,
 /// simultaneously: occurrences of `f` inside `body` itself are left alone,
 /// which is exactly Hoare-style assignment for `f(x̄) := t(x̄)` (so
-/// `f(x) := f(x)` is a no-op rather than a loop). Delegates to
-/// [`Interner::rewrite_function`].
+/// `f(x) := f(x)` is a no-op rather than a loop).
 pub fn rewrite_function(f: &Formula, func: &Sym, params: &[Sym], body: &Term) -> Formula {
-    Interner::with(|it| {
-        let fid = it.intern(f);
-        let bid = it.intern_term(body);
-        let out = it.rewrite_function(fid, *func, params, bid);
-        it.resolve(out)
-    })
+    let bind = |args: Vec<Term>| params.iter().copied().zip(args).collect();
+    let mut body_vars = BTreeSet::new();
+    body.collect_vars(&mut body_vars);
+    Rewrite {
+        avoid: non_param_vars(body_vars, params),
+        app: &|g, args| {
+            if g == *func {
+                debug_assert_eq!(args.len(), params.len(), "arity checked upstream");
+                subst_term_vars(body, &bind(args))
+            } else {
+                Term::App(g, args)
+            }
+        },
+        atom: &Formula::Rel,
+    }
+    .formula(f)
+}
+
+/// The free variables of an update body other than its parameters: the
+/// parameters are replaced wholesale, so only these can be captured.
+fn non_param_vars(mut vars: BTreeSet<Sym>, params: &[Sym]) -> BTreeSet<Sym> {
+    for p in params {
+        vars.remove(p);
+    }
+    vars
+}
+
+/// A bottom-up symbol rewrite shared by [`rewrite_relation`] and
+/// [`rewrite_function`]: `app` rebuilds each application and `atom` each
+/// relation atom from its already-rewritten arguments. A binder that would
+/// capture a variable of `avoid` is renamed before its body is rewritten.
+struct Rewrite<'a> {
+    avoid: BTreeSet<Sym>,
+    app: &'a dyn Fn(Sym, Vec<Term>) -> Term,
+    atom: &'a dyn Fn(Sym, Vec<Term>) -> Formula,
+}
+
+impl Rewrite<'_> {
+    fn formula(&self, f: &Formula) -> Formula {
+        let sub = |g: &Formula| Box::new(self.formula(g));
+        match f {
+            Formula::True | Formula::False => f.clone(),
+            Formula::Rel(r, args) => (self.atom)(*r, args.iter().map(|t| self.term(t)).collect()),
+            Formula::Eq(a, b) => Formula::Eq(self.term(a), self.term(b)),
+            Formula::Not(g) => Formula::Not(sub(g)),
+            Formula::And(fs) => Formula::And(fs.iter().map(|g| self.formula(g)).collect()),
+            Formula::Or(fs) => Formula::Or(fs.iter().map(|g| self.formula(g)).collect()),
+            Formula::Implies(a, b) => Formula::Implies(sub(a), sub(b)),
+            Formula::Iff(a, b) => Formula::Iff(sub(a), sub(b)),
+            Formula::Forall(bs, g) => {
+                let (bs, g) = self.under_binders(bs, g);
+                Formula::Forall(bs, Box::new(g))
+            }
+            Formula::Exists(bs, g) => {
+                let (bs, g) = self.under_binders(bs, g);
+                Formula::Exists(bs, Box::new(g))
+            }
+        }
+    }
+
+    fn term(&self, t: &Term) -> Term {
+        match t {
+            Term::Var(_) => t.clone(),
+            Term::App(g, args) => (self.app)(*g, args.iter().map(|a| self.term(a)).collect()),
+            Term::Ite(c, a, b) => Term::Ite(
+                Box::new(self.formula(c)),
+                Box::new(self.term(a)),
+                Box::new(self.term(b)),
+            ),
+        }
+    }
+
+    fn under_binders(&self, bs: &[Binding], g: &Formula) -> (Vec<Binding>, Formula) {
+        if !bs.iter().any(|b| self.avoid.contains(&b.var)) {
+            return (bs.to_vec(), self.formula(g));
+        }
+        let mut used = self.avoid.clone();
+        all_var_names(g, &mut used);
+        let mut renames = BTreeMap::new();
+        let bs = bs
+            .iter()
+            .map(|b| {
+                if self.avoid.contains(&b.var) {
+                    let fresh = fresh_name(b.var.as_str(), &mut used);
+                    renames.insert(b.var, Term::Var(fresh));
+                    Binding::new(fresh, b.sort)
+                } else {
+                    b.clone()
+                }
+            })
+            .collect();
+        (bs, self.formula(&subst_vars(g, &renames)))
+    }
 }
 
 #[cfg(test)]

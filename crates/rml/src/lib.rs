@@ -9,7 +9,8 @@
 //!   (Figures 10 and 12);
 //! * a parser for `.rml` program text ([`parse_program`]);
 //! * static validation of the fragment restrictions ([`check_program`]);
-//! * the weakest-precondition operator of Figure 13 ([`wp()`]);
+//! * the weakest-precondition operator of Figure 13 ([`wp()`]), the
+//!   reference the unrolling is tested against;
 //! * a transition-relation compiler and loop unroller for bounded
 //!   verification ([`trans`]);
 //! * an explicit-state interpreter used for differential testing
@@ -51,4 +52,4 @@ pub use pretty::render_program;
 pub use trans::{
     paths, project_state, rename_symbols, unroll, unroll_free, Path, SymMap, Unrolling,
 };
-pub use wp::{wp, wp_id, wp_in};
+pub use wp::wp;

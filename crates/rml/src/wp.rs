@@ -13,11 +13,16 @@
 //!
 //! where `A` is the conjunction of the program's axioms: state mutations are
 //! restricted to axiom-satisfying states. Lemma 3.2: if `Q` is `∀*∃*` then
-//! so is `wp(C, Q)` (after prenexing) — verified by property tests.
+//! so is `wp(C, Q)` (after prenexing) — `wp_preserves_ae_fragment` below
+//! checks it on the leader-election receive action.
+//!
+//! The engines discharge verification conditions through the
+//! transition-relation unrolling ([`crate::trans`]), not through `wp`. This
+//! tree `wp` is the Figure 13 reference that `tests/wp_vs_transition.rs` and
+//! `tests/wp_soundness.rs` check the unrolling against.
 
 use std::collections::BTreeSet;
 
-use ivy_fol::intern::{FormulaId, Interner};
 use ivy_fol::subst::{fresh_name, rewrite_function, rewrite_relation, subst_constant};
 use ivy_fol::{Binding, Formula, Signature, Sym, Term};
 
@@ -72,71 +77,6 @@ fn wp_rec(sig: &Signature, axiom: &Formula, cmd: &Cmd, post: &Formula) -> Formul
             q
         }
         Cmd::Choice(cmds) => Formula::and(cmds.iter().map(|c| wp_rec(sig, axiom, c, post))),
-    }
-}
-
-/// Hash-consed `wp`: identical to [`wp`] but operating on interned
-/// [`FormulaId`]s throughout, so repeated subterms (the axiom guard, shared
-/// postconditions under `|`) are substituted once and memoized.
-///
-/// `resolve(wp_id(..)) == wp(..)` — checked by property tests.
-pub fn wp_id(sig: &Signature, axiom: FormulaId, cmd: &Cmd, post: FormulaId) -> FormulaId {
-    let _span = ivy_telemetry::Span::enter("wp");
-    Interner::with(|it| wp_in(it, sig, axiom, cmd, post))
-}
-
-/// [`wp_id`] against an already-held interner (for callers inside an
-/// [`Interner::with`] scope, which must not re-enter the global lock).
-pub fn wp_in(
-    it: &mut Interner,
-    sig: &Signature,
-    axiom: FormulaId,
-    cmd: &Cmd,
-    post: FormulaId,
-) -> FormulaId {
-    match cmd {
-        Cmd::Skip => post,
-        Cmd::Abort => it.false_id(),
-        Cmd::UpdateRel { rel, params, body } => {
-            let target = it.implies(axiom, post);
-            let b = it.intern(body);
-            it.rewrite_relation(target, *rel, params, b)
-        }
-        Cmd::UpdateFun { fun, params, body } => {
-            let target = it.implies(axiom, post);
-            let b = it.intern_term(body);
-            it.rewrite_function(target, *fun, params, b)
-        }
-        Cmd::Havoc(v) => {
-            let decl = sig
-                .function(v)
-                .unwrap_or_else(|| panic!("havoc of undeclared variable `{v}`"));
-            assert!(decl.is_constant(), "havoc target `{v}` is not a variable");
-            let target = it.implies(axiom, post);
-            let mut used: BTreeSet<Sym> = (*it.all_vars(target)).clone();
-            let x = fresh_name(&heading_var(v), &mut used);
-            let xv = it.var(x);
-            let substituted = it.subst_constant(target, *v, xv);
-            it.forall(vec![Binding::new(x, decl.ret)], substituted)
-        }
-        Cmd::Assume(phi) => {
-            let p = it.intern(phi);
-            it.implies(p, post)
-        }
-        Cmd::Seq(cmds) => {
-            let mut q = post;
-            for c in cmds.iter().rev() {
-                q = wp_in(it, sig, axiom, c, q);
-            }
-            q
-        }
-        Cmd::Choice(cmds) => {
-            let parts: Vec<FormulaId> = cmds
-                .iter()
-                .map(|c| wp_in(it, sig, axiom, c, post))
-                .collect();
-            it.and(parts)
-        }
     }
 }
 

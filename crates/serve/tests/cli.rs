@@ -136,32 +136,12 @@ fn kinv_detects_violations() {
 }
 
 #[test]
-fn strategy_flag_selects_the_oracle_strategy() {
-    let model = write_temp("s.rml", MODEL);
-    let inv = write_temp("s.inv", INVARIANT);
-    let model = model.to_str().unwrap();
-    let inv = inv.to_str().unwrap();
-
-    // Every strategy proves the same invariant.
-    for extra in [&["--strategy", "fresh"][..], &["--strategy", "session"]] {
-        let mut args = vec!["prove", model, inv];
-        args.extend_from_slice(extra);
-        let (code, text) = ivy_code(&args);
-        assert_eq!(code, 0, "{extra:?}: {text}");
-        assert!(text.contains("inductive"), "{extra:?}: {text}");
-    }
-    // The flags work on BMC too.
-    let (ok, text) = ivy(&["bmc", model, "-k", "2", "--strategy", "fresh"]);
-    assert!(ok, "{text}");
-    assert!(text.contains("safe within 2"), "{text}");
-}
-
-#[test]
 fn bad_strategy_or_unknown_flag_is_a_usage_error() {
     let model = write_temp("u.rml", MODEL);
     let model = model.to_str().unwrap();
     for args in [
-        // Only `fresh` and `session` name a strategy.
+        // There is no `--strategy` flag: the differential tests select the
+        // reference strategy through the library.
         &["prove", model, "--strategy", "turbo"][..],
         &["prove", model, "--strategy", "parallel"],
         &["prove", model, "--strategy", "portfolio"],
@@ -170,7 +150,7 @@ fn bad_strategy_or_unknown_flag_is_a_usage_error() {
         &["prove", model, "--strategy", "session", "--jobs", "2"],
         &["prove", model, "--bogus", "7"],
         &["bmc", model, "--vars", "1"],
-        // The server always pools sessions.
+        // Nor does the server accept one.
         &["serve", "--strategy", "fresh", "--listen", "127.0.0.1:0"],
     ] {
         let (code, text) = ivy_code(args);

@@ -200,15 +200,12 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Cap on SAT conflicts per query.
     pub max_conflicts: Option<u64>,
-    /// Cap on cumulative ground instances per session.
-    pub max_instances: Option<u64>,
 }
 
 impl Budget {
     pub const UNLIMITED: Budget = Budget {
         deadline: None,
         max_conflicts: None,
-        max_instances: None,
     };
 
     /// A budget whose deadline is `timeout` from now.
@@ -221,11 +218,6 @@ impl Budget {
 
     pub fn with_max_conflicts(mut self, max_conflicts: u64) -> Budget {
         self.max_conflicts = Some(max_conflicts);
-        self
-    }
-
-    pub fn with_max_instances(mut self, max_instances: u64) -> Budget {
-        self.max_instances = Some(max_instances);
         self
     }
 

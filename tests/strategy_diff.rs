@@ -15,9 +15,11 @@ use ivy_protocols::{evaluation, leader, Protocol};
 use ivy_rml::Program;
 
 fn check_with(program: &Program, strategy: QueryStrategy, inv: &[Conjecture]) -> Inductiveness {
-    let mut v = Verifier::new(program);
-    v.set_strategy(strategy);
-    v.check(inv).unwrap()
+    let mut oracle = Oracle::new();
+    oracle.set_strategy(strategy);
+    Verifier::with_oracle(program, Arc::new(oracle))
+        .check(inv)
+        .unwrap()
 }
 
 /// BMC over an oracle that re-solves every depth from scratch: the
