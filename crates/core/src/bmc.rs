@@ -179,13 +179,13 @@ impl<'p> Bmc<'p> {
 
 /// A depth scan over one unrolling: one oracle handle over the frame
 /// `base ∧ steps[0..k]`, opened at prefix 1, so depth `j` is queried at
-/// prefix `j + 1` ([`crate::oracle::FrameSession::set_frame_prefix`]). On a
-/// cold session each step is grounded when the scan first reaches it; on a
-/// pooled one every step is already grounded and the deeper steps are
-/// merely masked. Every query runs as a retirable goal, so learnt clauses
-/// carry across the whole scan, and a scan that reached depth `k` leaves
-/// the grounded unrolling in the oracle's pool for the next scan over the
-/// same frame. Under [`crate::QueryStrategy::Fresh`] every query grounds
+/// prefix `j + 1` ([`crate::oracle::FrameSession::set_frame_prefix`]). Each
+/// step is grounded when the scan first reaches it, unless a pooled
+/// session from an earlier scan already holds it; steps beyond the queried
+/// depth are merely masked. Every query runs as a retirable goal, so
+/// learnt clauses carry across the whole scan, and every scan leaves the
+/// steps it grounded in the oracle's pool for the next scan over the same
+/// frame. Under [`crate::QueryStrategy::Fresh`] every query grounds
 /// its prefix anew — the reference behavior.
 pub(crate) struct ReachScan<'o> {
     handle: FrameSession<'o>,
@@ -456,25 +456,29 @@ action mark_one {
     }
 
     #[test]
-    fn early_exit_does_not_pool_a_partial_frame() {
+    fn early_exit_pools_its_grounded_prefix() {
         let p = spread();
         let bmc = Bmc::new(&p);
         let phi = parse_formula("forall X:node, Y:node. marked(X) & marked(Y) -> X = Y").unwrap();
         // The violation sits at depth 1 < k, so steps 2 and 3 are never
-        // grounded and the session must not enter the pool.
+        // grounded; the session enters the pool with the prefix it has.
         for round in 1..=2 {
             let trace = bmc.check_k_invariance(&phi, 3).unwrap().unwrap();
             assert_eq!(trace.steps(), 1);
             let rollup = bmc.oracle().rollup();
-            assert_eq!(rollup.frame_hits, 0, "round {round}");
-            assert_eq!(rollup.frame_misses, round);
-            assert_eq!(rollup.sessions_built, round);
+            // Round 2 hits the pooled prefix and builds no session.
+            assert_eq!(rollup.frame_hits, round - 1, "round {round}");
+            assert_eq!(rollup.frame_misses, 1);
+            assert_eq!(rollup.sessions_built, 1);
         }
-        // A scan that reaches depth k pools its session for the next one.
+        // A scan that reaches depth k grounds the missing steps on the
+        // pooled session, and the next scan reuses the whole frame.
         let invariant = parse_formula("marked(seed)").unwrap();
         assert!(bmc.check_k_invariance(&invariant, 3).unwrap().is_none());
         assert!(bmc.check_k_invariance(&phi, 3).unwrap().is_some());
-        assert_eq!(bmc.oracle().rollup().frame_hits, 1);
+        let rollup = bmc.oracle().rollup();
+        assert_eq!(rollup.frame_hits, 3);
+        assert_eq!(rollup.sessions_built, 1);
     }
 
     #[test]

@@ -41,9 +41,12 @@ pub struct HoudiniResult {
 /// [`EprError::Inconclusive`] — a partial candidate set is never reported
 /// as the strongest inductive invariant), and its frame-keyed session cache
 /// is shared with any other engine holding the same oracle — e.g. the
-/// initiation pass reuses [`Verifier`]'s initiation frame, and the final
-/// safety check reuses the one-step frame grounded during consecution
-/// filtering.
+/// initiation pass reuses [`Verifier`]'s initiation frame. The final
+/// safety check runs on [`Verifier::check_safety`]'s own frame
+/// (`base, inv:*`), not on the consecution pass's handle (`base, step`
+/// with the candidates as hypothesis groups): asking it there would leave
+/// the safety goals' Skolem constants in that pooled session for every
+/// later tenant.
 ///
 /// # Errors
 ///

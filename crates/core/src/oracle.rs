@@ -44,12 +44,14 @@
 //! *prefix* of the frame ([`Oracle::open_prefix`],
 //! [`FrameSession::set_frame_prefix`]) — the depth scan over `base` plus
 //! `k` transition steps that BMC, BMC + Auto Generalize, Houdini's
-//! initiation pass and `infer`'s reachability filter all run on. A cold
-//! session grounds frame asserts only up to the active prefix; a pooled
-//! session always holds the whole frame grounded and masks the suffix by
-//! not assuming its groups. A handle is checked in only once every frame
-//! assert is grounded, with every frame group re-enabled, so the pool
-//! never holds a partial frame.
+//! initiation pass and `infer`'s reachability filter all run on, and the
+//! `base, inv:*` then `step` scan of [`crate::Verifier::check`]. A session
+//! grounds frame asserts only up to the largest prefix any of its tenants
+//! asked for, and masks the asserts past the active prefix by not assuming
+//! their groups. Any grounded prefix is poolable: a handle is checked in
+//! with every grounded frame group re-enabled, and a later handle that
+//! asks for a longer prefix grounds the missing asserts on the pooled
+//! session.
 //!
 //! # Sharing across threads and tenants
 //!
@@ -191,8 +193,8 @@ pub const MAX_POOLED_SESSIONS: usize = 8;
 /// they are one or two groups per query by construction.
 pub const MAX_POOLED_HANDLE_GROUPS: usize = 8;
 
-/// One pooled session: grounded for every assert of the frame keyed by
-/// `key`, with every frame group enabled.
+/// One pooled session: grounded for a prefix of the asserts of the frame
+/// keyed by `key`, with every grounded frame group enabled.
 struct Pooled {
     key: u64,
     session: EprSession,
@@ -400,13 +402,7 @@ impl Oracle {
         G: Fn(usize) -> Goal,
         W: Fn(usize, &Model) -> T,
     {
-        let mut h = self.open(frame)?;
-        for i in 0..count {
-            if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
-                return Ok(Some(witness(i, &m)));
-            }
-        }
-        Ok(None)
+        self.open(frame)?.first_sat(count, goal, witness)
     }
 
     /// Opens a handle for a *stateful* query family over one frame: the
@@ -426,10 +422,12 @@ impl Oracle {
     /// Like [`Oracle::open`], but only the first `n` frame asserts
     /// constrain queries until [`FrameSession::set_frame_prefix`] moves the
     /// prefix (the depth scan: `base` plus `k` steps, queried at prefix
-    /// `j + 1` for depth `j`). A cold session grounds frame asserts
-    /// only up to the active prefix, so a scan that stops early never pays
-    /// for the deeper steps; a pooled session holds every frame assert
-    /// grounded, and the asserts past the prefix are merely disabled.
+    /// `j + 1` for depth `j`; [`crate::Verifier::check`]: safety at the
+    /// invariant, then consecution with the step). A cold session grounds
+    /// frame asserts only up to the active prefix, so a scan that stops
+    /// early never pays for the deeper steps. A pooled session holds
+    /// whatever prefix its last tenant grounded: the asserts it lacks up to
+    /// `n` are grounded now, and those past `n` are merely disabled.
     ///
     /// # Errors
     ///
@@ -440,15 +438,10 @@ impl Oracle {
         let live = match self.strategy {
             QueryStrategy::Fresh => None,
             QueryStrategy::Session => {
-                let mut live = self.checkout(frame, key, n).map_err(|e| self.soften(e))?;
-                // A pooled session holds the whole frame: mask the suffix.
-                for gid in &live.frame_groups[n..] {
-                    live.session.set_enabled(*gid, false);
-                }
-                Some(live)
+                Some(self.checkout(frame, key, n).map_err(|e| self.soften(e))?)
             }
         };
-        Ok(FrameSession {
+        let mut handle = FrameSession {
             oracle: self,
             frame: frame.clone(),
             prefix: n,
@@ -456,7 +449,9 @@ impl Oracle {
             budget: self.budget,
             groups: Vec::new(),
             live,
-        })
+        };
+        handle.set_frame_prefix(n)?;
+        Ok(handle)
     }
 
     /// A snapshot of the oracle's aggregated telemetry (shared across
@@ -465,8 +460,9 @@ impl Oracle {
         self.shared.rollup.lock().unwrap().clone()
     }
 
-    /// Takes a session for `frame` from the pool (every frame assert
-    /// grounded), or grounds one for the first `prefix` frame asserts.
+    /// Takes a session for `frame` from the pool (some prefix of the
+    /// frame's asserts grounded), or grounds one for the first `prefix`
+    /// frame asserts.
     fn checkout(&self, frame: &Frame, key: u64, prefix: usize) -> Result<LiveState, EprError> {
         let cached = {
             let mut pool = self.shared.pool.lock().unwrap();
@@ -519,8 +515,9 @@ impl Oracle {
         Ok((s, frame_groups))
     }
 
-    /// Returns a session to the pool; every frame assert must be grounded
-    /// and enabled, and every handle group retired.
+    /// Returns a session to the pool; every grounded frame assert (a
+    /// prefix of the frame) must be enabled, and every handle group
+    /// retired.
     fn checkin(&self, key: u64, session: EprSession, frame_groups: Vec<GroupId>) {
         debug_assert_eq!(session.frame_key(), Some(key));
         let capacity = *self.shared.pool_capacity.lock().unwrap();
@@ -568,7 +565,7 @@ struct GroupRec {
 struct LiveState {
     session: EprSession,
     /// `frame_groups[i]` is the session group of frame assert `i`; only
-    /// the asserts grounded so far have one (a pooled session has all).
+    /// the asserts grounded so far have one.
     frame_groups: Vec<GroupId>,
     /// `map[i]` is the session group of handle group `i` (`None` once
     /// retired).
@@ -596,8 +593,9 @@ pub struct FrameGroup(usize);
 
 /// A checked-out query handle over one [`Frame`] (see [`Oracle::open`]).
 /// Dropping the handle retires its groups and returns the session (if any)
-/// to the oracle's pool — only once every frame assert is grounded, with
-/// every frame group re-enabled, so the pool never holds a partial frame.
+/// to the oracle's pool with every grounded frame group re-enabled: the
+/// pool keeps whatever prefix of the frame the handle grounded, and the
+/// next tenant grounds the rest only if it asks for it.
 pub struct FrameSession<'o> {
     oracle: &'o Oracle,
     frame: Frame,
@@ -684,7 +682,10 @@ impl FrameSession<'_> {
     /// constrain subsequent queries and masks the rest. Asserts not yet
     /// grounded on this handle's session are grounded now, in frame
     /// order; already-grounded ones only have their assumption literals
-    /// toggled, so moving the prefix over a pooled session costs nothing.
+    /// toggled, so moving the prefix within what a session (or its pooled
+    /// predecessors) grounded costs nothing. A recycled session whose
+    /// instantiation budget cannot admit the new asserts is rebuilt from
+    /// the frame, as [`FrameSession::solve_goal`] does.
     ///
     /// # Errors
     ///
@@ -692,23 +693,69 @@ impl FrameSession<'_> {
     /// unchanged.
     pub fn set_frame_prefix(&mut self, n: usize) -> Result<(), EprError> {
         let n = n.min(self.frame.asserts().len());
-        if let Some(live) = &mut self.live {
-            while live.frame_groups.len() < n {
-                let (label, id) = &self.frame.asserts()[live.frame_groups.len()];
-                let gid = live
-                    .session
-                    .assert_id(label.clone(), *id)
-                    .map_err(|e| self.oracle.soften(e))?;
-                // Masked until the whole new prefix is grounded.
-                live.session.set_enabled(gid, false);
-                live.frame_groups.push(gid);
+        let reused = self.live.as_ref().is_some_and(|l| l.reused);
+        match self.ground_frame_to(n) {
+            Ok(()) => {}
+            // A recycled session may have spent its instantiation budget on
+            // earlier tenants: ground the new prefix on a fresh session, as
+            // a cold handle would.
+            Err(EprError::TooManyInstances { .. }) if reused => {
+                let old = std::mem::replace(&mut self.prefix, n);
+                if let Err(e) = self.rebuild_live() {
+                    self.prefix = old;
+                    return Err(self.oracle.soften(e));
+                }
             }
+            Err(e) => return Err(self.oracle.soften(e)),
+        }
+        if let Some(live) = &mut self.live {
             for (i, gid) in live.frame_groups.iter().enumerate() {
                 live.session.set_enabled(*gid, i < n);
             }
         }
         self.prefix = n;
         Ok(())
+    }
+
+    /// Grounds the frame asserts the live session lacks among the first
+    /// `n`, each masked until [`FrameSession::set_frame_prefix`] enables
+    /// the new prefix.
+    fn ground_frame_to(&mut self, n: usize) -> Result<(), EprError> {
+        if let Some(live) = &mut self.live {
+            while live.frame_groups.len() < n {
+                let (label, id) = &self.frame.asserts()[live.frame_groups.len()];
+                let gid = live.session.assert_id(label.clone(), *id)?;
+                live.session.set_enabled(gid, false);
+                live.frame_groups.push(gid);
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `goal(0..count)` in order and returns the lowest-index
+    /// satisfiable goal's witness, or `None` when every goal is
+    /// unsatisfiable (see [`Oracle::first_sat`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`]; a budget-exhausted `Unknown` surfaces as
+    /// [`EprError::Inconclusive`].
+    pub(crate) fn first_sat<T, G, W>(
+        &mut self,
+        count: usize,
+        goal: G,
+        witness: W,
+    ) -> Result<Option<T>, EprError>
+    where
+        G: Fn(usize) -> Goal,
+        W: Fn(usize, &Model) -> T,
+    {
+        for i in 0..count {
+            if let Some(m) = sat_model(self.solve_goal(&goal(i))?)? {
+                return Ok(Some(witness(i, &m)));
+            }
+        }
+        Ok(None)
     }
 
     /// Solves the frame plus the enabled groups.
@@ -844,11 +891,6 @@ impl Drop for FrameSession<'_> {
             // A churn-heavy handle leaves too many dead clauses behind to be
             // worth recycling (see [`MAX_POOLED_HANDLE_GROUPS`]).
             if self.groups.len() > MAX_POOLED_HANDLE_GROUPS {
-                return;
-            }
-            // The pool only holds whole frames: a scan that stopped short
-            // of the last frame assert drops its partial session.
-            if live.frame_groups.len() < self.frame.asserts().len() {
                 return;
             }
             // Restore frame-only state before pooling: retire every handle
@@ -1049,7 +1091,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_prefix_masks_and_pools_only_whole_frames() {
+    fn frame_prefix_masks_and_pools_grounded_prefixes() {
         let sig = sig();
         let mut frame = Frame::new(&sig);
         frame.push("all", fid("forall X:s. r(X)"));
@@ -1065,20 +1107,50 @@ mod tests {
             assert!(h.check().unwrap().is_sat(), "{strategy:?}");
         }
         let oracle = Oracle::new();
-        // A handle that never grounded `none` is not pooled...
+        // A handle that never grounded `none` pools its prefix, and a
+        // longer handle grounds `none` on that pooled session...
         let h = oracle.open_prefix(&frame, 1).unwrap();
         drop(h);
-        let h = oracle.open_prefix(&frame, 2).unwrap();
-        assert_eq!(oracle.rollup().sessions_built, 2);
-        drop(h);
-        // ...a whole frame is, and a warm prefix handle masks the suffix.
-        let mut h = oracle.open_prefix(&frame, 1).unwrap();
+        let mut h = oracle.open_prefix(&frame, 2).unwrap();
         assert_eq!(oracle.rollup().frame_hits, 1);
+        assert_eq!(oracle.rollup().sessions_built, 1);
+        assert!(!h.check().unwrap().is_sat());
+        drop(h);
+        // ...the whole frame is pooled too, and a warm prefix handle masks
+        // the suffix.
+        let mut h = oracle.open_prefix(&frame, 1).unwrap();
+        assert_eq!(oracle.rollup().frame_hits, 2);
         assert!(h.check().unwrap().is_sat());
         drop(h);
         // Dropping re-enabled the masked assert for the next tenant.
         assert!(!oracle.open(&frame).unwrap().check().unwrap().is_sat());
-        assert_eq!(oracle.rollup().sessions_built, 2);
+        assert_eq!(oracle.rollup().sessions_built, 1);
+    }
+
+    #[test]
+    fn recycled_prefix_too_spent_to_extend_is_rebuilt() {
+        let sig = sig();
+        let mut frame = Frame::new(&sig);
+        frame.push("base", fid("forall X:s. r(X)"));
+        frame.push("pairs", fid("forall X:s, Y:s. r(X) | r(Y)"));
+        // Calibrate: what a cold handle over the whole frame grounds.
+        let cold = Oracle::new();
+        assert!(cold.open(&frame).unwrap().check().unwrap().is_sat());
+        let need = cold.rollup().report.instances;
+        // A prefix handle whose goal grows the universe pools a session
+        // that cannot ground `pairs` within that limit any more.
+        let mut oracle = Oracle::new();
+        let goal = Goal::new("g", fid("exists X:s, Y:s, Z:s. X ~= Y & Y ~= Z & X ~= Z"));
+        let mut h = oracle.open_prefix(&frame, 1).unwrap();
+        assert!(h.solve_goal(&goal).unwrap().is_sat());
+        drop(h);
+        oracle.set_instance_limit(need);
+        // Extending the recycled prefix rebuilds it from the frame, as a
+        // cold handle would ground it.
+        let mut h = oracle.open(&frame).unwrap();
+        assert!(h.check().unwrap().is_sat());
+        let rollup = oracle.rollup();
+        assert_eq!((rollup.frame_hits, rollup.sessions_built), (1, 2));
     }
 
     #[test]

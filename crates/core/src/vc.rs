@@ -10,7 +10,11 @@
 //! inductiveness conditions are three query families — a frame (base,
 //! invariant hypotheses, transition step) plus one violation goal per
 //! conjecture or safety case — and the oracle decides how to discharge
-//! them (fresh, or frame-cached session).
+//! them (fresh, or frame-cached session). Safety (`A ∧ I ⇒ ¬bad`) and
+//! consecution (`A ∧ I ∧ TR ⇒ I'`) share the hypothesis `A ∧ I`, so
+//! [`Verifier::check`] asks both on one handle over the consecution frame
+//! `base, inv:*, step`: the safety cases with `step` masked, then the
+//! consecution goals with it grounded on top, so `A ∧ I` is grounded once.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -190,6 +194,14 @@ impl<'p> Verifier<'p> {
     /// initiation, safety, and consecution — in that order, returning the
     /// first CTI found.
     ///
+    /// Initiation runs on its own frame (the depth-0 unrolling). Safety
+    /// and consecution run on one handle over the consecution frame
+    /// `base, inv:*, step`, opened at the prefix `base, inv:*` for the
+    /// safety cases and extended by `step` for the consecution goals — the
+    /// prefix scan [`crate::Bmc`] runs over its unrolling — so the shared
+    /// `A ∧ I` is grounded once per check, and a check that stops at a
+    /// safety CTI pools its grounded prefix for the next one.
+    ///
     /// # Errors
     ///
     /// Propagates [`EprError`] (e.g. a conjecture outside `∀*∃*` makes the
@@ -198,13 +210,18 @@ impl<'p> Verifier<'p> {
         if let Some(cti) = self.check_initiation(conjectures)? {
             return Ok(Inductiveness::Cti(Box::new(cti)));
         }
-        if let Some(cti) = self.check_safety(conjectures)? {
-            return Ok(Inductiveness::Cti(Box::new(cti)));
+        let u = self.one_step_unrolling();
+        let frame = self.consecution_frame(u, conjectures);
+        let with_step = frame.asserts().len();
+        let mut handle = self.oracle.open_prefix(&frame, with_step - 1)?;
+        let mut cti = self.first_safety_cti(&mut handle, u)?;
+        if cti.is_none() {
+            handle.set_frame_prefix(with_step)?;
+            cti = self.first_consecution_cti(&mut handle, u, conjectures)?;
         }
-        if let Some(cti) = self.check_consecution(conjectures)? {
-            return Ok(Inductiveness::Cti(Box::new(cti)));
-        }
-        Ok(Inductiveness::Inductive)
+        Ok(cti.map_or(Inductiveness::Inductive, |cti| {
+            Inductiveness::Cti(Box::new(cti))
+        }))
     }
 
     /// Checks `A ⇒ wp(C_init, ϕ)` for each conjecture.
@@ -242,10 +259,30 @@ impl<'p> Verifier<'p> {
     /// Propagates [`EprError`].
     pub fn check_safety(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
         let u = self.one_step_unrolling();
-        let frame = self.invariant_frame(u, conjectures);
+        let mut handle = self.oracle.open(&self.invariant_frame(u, conjectures))?;
+        self.first_safety_cti(&mut handle, u)
+    }
+
+    /// Checks `A ∧ I ⇒ wp(C_body, ϕ)` for each conjecture `ϕ` of `I`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EprError`].
+    pub fn check_consecution(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
+        let u = self.one_step_unrolling();
+        let mut handle = self.oracle.open(&self.consecution_frame(u, conjectures))?;
+        self.first_consecution_cti(&mut handle, u, conjectures)
+    }
+
+    /// The lowest-index safety case of `u`'s pre-state satisfiable on
+    /// `handle` (whose active frame is `A ∧ I`), as a CTI.
+    fn first_safety_cti(
+        &self,
+        handle: &mut FrameSession<'_>,
+        u: &Unrolling,
+    ) -> Result<Option<Cti>, EprError> {
         let cases = safety_cases(self.program, u, 0);
-        self.oracle.first_sat(
-            &frame,
+        handle.first_sat(
             cases.len(),
             |i| Goal::new("violation", cases[i].1),
             |i, model| Cti {
@@ -258,19 +295,15 @@ impl<'p> Verifier<'p> {
         )
     }
 
-    /// Checks `A ∧ I ⇒ wp(C_body, ϕ)` for each conjecture `ϕ` of `I`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EprError`].
-    pub fn check_consecution(&self, conjectures: &[Conjecture]) -> Result<Option<Cti>, EprError> {
-        let u = self.one_step_unrolling();
-        let mut frame = self.invariant_frame(u, conjectures);
-        // The transition step is shared by every conjecture's query: it is
-        // frame, not goal.
-        frame.push("step", u.steps[0]);
-        self.oracle.first_sat(
-            &frame,
+    /// The lowest-index conjecture violated after one step on `handle`
+    /// (whose active frame is `A ∧ I ∧ TR`), as a CTI.
+    fn first_consecution_cti(
+        &self,
+        handle: &mut FrameSession<'_>,
+        u: &Unrolling,
+        conjectures: &[Conjecture],
+    ) -> Result<Option<Cti>, EprError> {
+        handle.first_sat(
             conjectures.len(),
             |i| {
                 Goal::new(
@@ -298,13 +331,15 @@ impl<'p> Verifier<'p> {
 
     /// Opens a persistent handle for re-solving one specific violation
     /// under varying extra constraints — the workhorse of minimal-CTI search
-    /// (Algorithm 1). The frame matches the corresponding inductiveness
-    /// check's frame (so under [`crate::QueryStrategy::Session`] the descent
-    /// recycles the very grounding that found the CTI), and the violation
-    /// rides on top as a handle group; each [`ViolationSession::solve`]
-    /// call only adds the candidate constraint as a retirable group. Each
-    /// query runs under the oracle's budget with its conflict cap lowered
-    /// to `max_conflicts`.
+    /// (Algorithm 1). The frame is that of the check
+    /// [`Verifier::find_minimal_cti`] found the CTI with
+    /// ([`Verifier::check_initiation`], [`Verifier::check_safety`] or
+    /// [`Verifier::check_consecution`]), so under
+    /// [`crate::QueryStrategy::Session`] the descent recycles the very
+    /// grounding that found the CTI. The violation rides on top as a handle
+    /// group; each [`ViolationSession::solve`] call only adds the candidate
+    /// constraint as a retirable group. Each query runs under the oracle's
+    /// budget with its conflict cap lowered to `max_conflicts`.
     /// Returns `None` when the violation does not name a known safety case.
     pub(crate) fn violation_session(
         &self,
@@ -332,8 +367,7 @@ impl<'p> Verifier<'p> {
             }
             Violation::Consecution { conjecture, .. } => {
                 let u = self.one_step_unrolling();
-                let mut frame = self.invariant_frame(u, conjectures);
-                frame.push("step", u.steps[0]);
+                let frame = self.consecution_frame(u, conjectures);
                 let bad = not_renamed(&find_formula(conjectures, conjecture), &u.maps[1]);
                 (u, frame, bad)
             }
@@ -366,6 +400,14 @@ impl<'p> Verifier<'p> {
                 renamed_id(&c.formula, &u.maps[0]),
             );
         }
+        frame
+    }
+
+    /// The consecution frame: the invariant frame plus the transition step,
+    /// which every conjecture's query shares, so it is frame, not goal.
+    fn consecution_frame(&self, u: &Unrolling, conjectures: &[Conjecture]) -> Frame {
+        let mut frame = self.invariant_frame(u, conjectures);
+        frame.push("step", u.steps[0]);
         frame
     }
 }
@@ -695,5 +737,49 @@ action bad { havoc n; assume marked(n); abort }
         let warm = oracle.rollup();
         assert_eq!(warm.frame_misses, cold.frame_misses, "no new groundings");
         assert!(warm.frame_hits > cold.frame_hits);
+    }
+
+    #[test]
+    fn cold_check_grounds_safety_and_consecution_on_one_session() {
+        let p = spread();
+        let oracle = Arc::new(Oracle::new());
+        let v = Verifier::with_oracle(&p, oracle.clone());
+        let inv = vec![Conjecture::new(
+            "C0",
+            parse_formula("marked(seed)").unwrap(),
+        )];
+        assert!(v.check(&inv).unwrap().is_inductive());
+        // One session for initiation, one for safety and consecution.
+        let rollup = oracle.rollup();
+        assert_eq!(rollup.sessions_built, 2);
+        assert_eq!(rollup.frame_misses, 2);
+    }
+
+    #[test]
+    fn safety_cti_pools_its_grounded_prefix() {
+        let p = spread();
+        let oracle = Arc::new(Oracle::new());
+        let v = Verifier::with_oracle(&p, oracle.clone());
+        for round in 1..=2 {
+            let Inductiveness::Cti(cti) = v.check(&[]).unwrap() else {
+                panic!("expected CTI");
+            };
+            assert_eq!(
+                cti.violation,
+                Violation::Safety {
+                    property: "seed_marked".into()
+                }
+            );
+            // The check stopped before grounding the step; the second
+            // round still finds both of its frames in the pool.
+            let rollup = oracle.rollup();
+            assert_eq!(rollup.frame_misses, 2, "round {round}");
+            assert_eq!(rollup.sessions_built, 2, "round {round}");
+        }
+        // The pooled prefix is the consecution frame's: a consecution
+        // query grounds the step on it instead of a new session.
+        assert!(v.check_consecution(&[]).unwrap().is_none());
+        let rollup = oracle.rollup();
+        assert_eq!((rollup.frame_misses, rollup.sessions_built), (2, 2));
     }
 }

@@ -1,24 +1,33 @@
 //! Every counterexample to induction the verifier reports is checked here
 //! by evaluation alone, sharing nothing with the grounding or the SAT
 //! search that produced it: a CTI whose pre-state breaks a kept conjecture
-//! or an axiom, or whose successor still satisfies the conjecture it names,
-//! would mean the solver returned a model of something other than the
-//! query.
+//! or an axiom, satisfies the safety property it names, or whose successor
+//! still satisfies the conjecture it names, would mean the solver returned
+//! a model of something other than the query.
 
 use ivy_core::{Conjecture, Inductiveness, Verifier, Violation};
 use ivy_protocols::{chord, db_chain, distributed_lock, leader, learning_switch, lock_server};
 use ivy_rml::Program;
 
+/// What the drop-one checks of one protocol reported.
+#[derive(Default)]
+struct Found {
+    /// Checks that reported a CTI.
+    ctis: usize,
+    /// Safety CTIs naming a declared safety property (not an abort).
+    property_ctis: usize,
+}
+
 /// Drops each conjecture of `invariant` in turn and checks the rest on a
-/// fresh verifier; returns how many of the checks reported a CTI.
-fn check_drop_one_ctis(name: &str, program: &Program, invariant: &[Conjecture]) -> usize {
+/// fresh verifier; counts the CTIs the checks reported.
+fn check_drop_one_ctis(name: &str, program: &Program, invariant: &[Conjecture]) -> Found {
     let axiom = program.axiom();
     let holds = |state: &ivy_fol::Structure, f: &ivy_fol::Formula| {
         state
             .eval_closed(f)
             .unwrap_or_else(|e| panic!("{name}: cannot evaluate `{f}`: {e}"))
     };
-    let mut ctis = 0;
+    let mut found = Found::default();
     for dropped in 0..invariant.len() {
         let kept: Vec<Conjecture> = invariant
             .iter()
@@ -30,7 +39,7 @@ fn check_drop_one_ctis(name: &str, program: &Program, invariant: &[Conjecture]) 
             Inductiveness::Inductive => continue,
             Inductiveness::Cti(cti) => cti,
         };
-        ctis += 1;
+        found.ctis += 1;
         let without = &invariant[dropped].name;
         let what = format!("{name} without {without}: {}", cti.violation);
         assert!(holds(&cti.state, &axiom), "{what}: state breaks the axioms");
@@ -56,6 +65,15 @@ fn check_drop_one_ctis(name: &str, program: &Program, invariant: &[Conjecture]) 
                 }
             }
         }
+        if let Violation::Safety { property } = &cti.violation {
+            if let Some((_, phi)) = program.safety.iter().find(|(label, _)| label == property) {
+                found.property_ctis += 1;
+                assert!(
+                    !holds(&cti.state, phi),
+                    "{what}: the state satisfies the safety property"
+                );
+            }
+        }
         if let Violation::Consecution { conjecture, .. } = &cti.violation {
             let successor = cti
                 .successor
@@ -71,7 +89,7 @@ fn check_drop_one_ctis(name: &str, program: &Program, invariant: &[Conjecture]) 
             );
         }
     }
-    ctis
+    found
 }
 
 #[test]
@@ -96,8 +114,15 @@ fn drop_one_ctis_satisfy_the_kept_invariant_and_break_the_named_conjecture() {
         ("db_chain", db_chain::program(), db_chain::invariant()),
         ("chord", chord::program(), chord::invariant()),
     ];
+    let mut property_ctis = 0;
     for (name, program, invariant) in &runs {
-        let ctis = check_drop_one_ctis(name, program, invariant);
-        assert!(ctis > 0, "{name}: no drop-one check found a CTI");
+        let found = check_drop_one_ctis(name, program, invariant);
+        assert!(found.ctis > 0, "{name}: no drop-one check found a CTI");
+        property_ctis += found.property_ctis;
     }
+    // The safety-property check above is not vacuous.
+    assert!(
+        property_ctis > 0,
+        "no drop-one check failed a safety property"
+    );
 }
