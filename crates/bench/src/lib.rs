@@ -87,12 +87,7 @@ pub struct Fig14Row {
 /// the harness treats that as a reproduction failure worth loud reporting.
 pub fn figure14_row(entry: &ProtocolEntry, max_ctis: usize) -> Fig14Row {
     let start = Instant::now();
-    let initial: Vec<Conjecture> = entry
-        .program
-        .safety
-        .iter()
-        .map(|(label, f)| Conjecture::new(label.clone(), f.clone()))
-        .collect();
+    let initial = Conjecture::safety(&entry.program);
     let c: usize = initial.iter().map(|x| x.formula.literal_count()).sum();
     let target: Vec<_> = entry.invariant.iter().map(|x| x.formula.clone()).collect();
     let mut session = Session::new(&entry.program, initial, entry.measures.clone());

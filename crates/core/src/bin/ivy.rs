@@ -51,6 +51,7 @@ use ivy_core::{houdini_with_oracle, Bmc, Conjecture, Inductiveness, Oracle, Veri
 use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::parse_formula;
 use ivy_rml::{check_program, parse_program, CheckError, Program};
+use ivy_serve::proto::parse_inv_lines;
 use ivy_serve::{Client, Endpoint, Json, Listener, ServeConfig, Server};
 
 fn main() -> ExitCode {
@@ -188,7 +189,11 @@ fn write_profile(
     report.intern_misses = misses;
     let command = args.first().map(String::as_str).unwrap_or("");
     let model = args.get(1).map(String::as_str).unwrap_or("");
-    let json = report.to_json_with(&[("command", command), ("model", model)]);
+    let json = report.to_json_with(
+        &[("command", command), ("model", model)],
+        &ivy_telemetry::phase_snapshot(),
+        &ivy_telemetry::counter_snapshot(),
+    );
     std::fs::write(path, json)?;
     Ok(())
 }
@@ -265,26 +270,11 @@ fn load_invariant(
     path: Option<&str>,
 ) -> Result<Vec<Conjecture>, Box<dyn std::error::Error>> {
     match path {
-        None => Ok(program
-            .safety
-            .iter()
-            .map(|(l, f)| Conjecture::new(l.clone(), f.clone()))
-            .collect()),
-        Some(p) => {
-            let text = std::fs::read_to_string(p)?;
-            let mut out = Vec::new();
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let (name, formula) = line
-                    .split_once(':')
-                    .ok_or_else(|| format!("line {}: expected `name: formula`", lineno + 1))?;
-                out.push(Conjecture::new(name.trim(), parse_formula(formula)?));
-            }
-            Ok(out)
-        }
+        None => Ok(Conjecture::safety(program)),
+        Some(p) => parse_inv_lines(&std::fs::read_to_string(p)?)?
+            .into_iter()
+            .map(|(name, formula)| Ok(Conjecture::new(name, parse_formula(&formula)?)))
+            .collect(),
     }
 }
 

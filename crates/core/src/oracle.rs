@@ -13,7 +13,7 @@
 //!   assertions, content-fingerprinted via [`ivy_epr::frame_fingerprint`].
 //! * [`Goal`]: the per-query assertions, labeled for UNSAT cores.
 //! * [`Oracle`]: owns the [`QueryStrategy`], the resource [`Budget`],
-//!   instance limit, a telemetry rollup, and a
+//!   instance limit, its own telemetry rollup, and a handle on a
 //!   frame-fingerprint-keyed pool of grounded [`EprSession`]s, so engines
 //!   querying the same frame — even different engines, at different times —
 //!   reuse one grounding instead of re-grounding it per query family.
@@ -58,13 +58,14 @@
 //! An `Oracle` is `Sync`: `solve`/`first_sat`/`open` take `&self`, and the
 //! pool hands each checked-out session to exactly one [`FrameSession`] (a
 //! checkout *removes* the session, so double-handing is impossible by
-//! ownership). Cloning produces a *view* sharing the pool and rollup with
-//! per-view configuration — the `ivy serve` daemon derives one view per
-//! request to enforce per-request budgets while all clients warm one
-//! cache. Concurrent checkouts of the same frame simply miss and ground
-//! extra sessions, all of which are pooled on check-in; under a steady
-//! concurrent load the pool converges to about one session per worker per
-//! hot frame.
+//! ownership). Cloning produces a *view* sharing the pool, with its own
+//! configuration and an empty telemetry rollup — the `ivy serve` daemon
+//! derives one view per request to enforce per-request budgets and report
+//! per-request telemetry while all clients warm one cache. Engines that
+//! share one `Arc<Oracle>` share its rollup. Concurrent checkouts of the
+//! same frame simply miss and ground extra sessions, all of which are
+//! pooled on check-in; under a steady concurrent load the pool converges
+//! to about one session per worker per hot frame.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -202,12 +203,11 @@ struct Pooled {
     frame_groups: Vec<GroupId>,
 }
 
-/// The shared half of an oracle: the session pool and the telemetry
-/// rollup, common to every view cloned from the same root oracle.
+/// The shared half of an oracle: the session pool, common to every view
+/// cloned from the same root oracle.
 struct OracleShared {
     pool: Mutex<Vec<Pooled>>,
     pool_capacity: Mutex<usize>,
-    rollup: Mutex<OracleRollup>,
 }
 
 impl OracleShared {
@@ -215,7 +215,6 @@ impl OracleShared {
         OracleShared {
             pool: Mutex::new(Vec::new()),
             pool_capacity: Mutex::new(MAX_POOLED_SESSIONS),
-            rollup: Mutex::new(OracleRollup::new()),
         }
     }
 }
@@ -225,18 +224,22 @@ impl OracleShared {
 ///
 /// Cloning an oracle produces a *view*: an independent copy of the
 /// configuration (strategy, budget, limits) that shares the original's
-/// session pool and telemetry rollup. This is the seam a multi-tenant
-/// server needs — each request derives a view with its own admission
-/// budget, while every view warms (and is warmed by) the same
-/// frame-keyed cache. Checked-out sessions are owned by exactly one
-/// [`FrameSession`] at a time (the pool *removes* on checkout), so views
-/// on different threads can never hand one solver to two requests.
+/// session pool and starts an empty telemetry rollup. This is the seam a
+/// multi-tenant server needs — each request derives a view with its own
+/// admission budget and its own account of the work, while every view
+/// warms (and is warmed by) the same frame-keyed cache. Checked-out
+/// sessions are owned by exactly one [`FrameSession`] at a time (the pool
+/// *removes* on checkout), so views on different threads can never hand
+/// one solver to two requests.
 pub struct Oracle {
     strategy: QueryStrategy,
     mode: InstantiationMode,
     budget: Budget,
     instance_limit: u64,
     shared: Arc<OracleShared>,
+    /// Every query, checkout and session build of this oracle value (not
+    /// of its views).
+    rollup: Mutex<OracleRollup>,
 }
 
 impl Clone for Oracle {
@@ -247,6 +250,7 @@ impl Clone for Oracle {
             budget: self.budget,
             instance_limit: self.instance_limit,
             shared: Arc::clone(&self.shared),
+            rollup: Mutex::new(OracleRollup::new()),
         }
     }
 }
@@ -278,13 +282,15 @@ impl Oracle {
             budget: Budget::UNLIMITED,
             instance_limit: DEFAULT_INSTANCE_LIMIT,
             shared: Arc::new(OracleShared::new()),
+            rollup: Mutex::new(OracleRollup::new()),
         }
     }
 
     /// A *view* of this oracle: an independent configuration copy sharing
-    /// the session pool and telemetry rollup (an explicit name for what
-    /// [`Clone`] does). A server derives one per request to apply
-    /// per-request budgets while every request hits the same frame cache.
+    /// the session pool, with an empty telemetry rollup of its own (an
+    /// explicit name for what [`Clone`] does). A server derives one per
+    /// request to apply per-request budgets and read per-request telemetry
+    /// while every request hits the same frame cache.
     pub fn view(&self) -> Oracle {
         self.clone()
     }
@@ -454,10 +460,10 @@ impl Oracle {
         Ok(handle)
     }
 
-    /// A snapshot of the oracle's aggregated telemetry (shared across
-    /// views).
+    /// A snapshot of this oracle's aggregated telemetry: the work done
+    /// through this value, not through its views.
     pub fn rollup(&self) -> OracleRollup {
-        self.shared.rollup.lock().unwrap().clone()
+        self.rollup.lock().unwrap().clone()
     }
 
     /// Takes a session for `frame` from the pool (some prefix of the
@@ -509,8 +515,7 @@ impl Oracle {
         for (label, id) in &frame.asserts()[..prefix] {
             frame_groups.push(s.assert_id(label.clone(), *id)?);
         }
-        self.shared.rollup.lock().unwrap().record_session_built();
-        ivy_telemetry::local_record_session_built();
+        self.rollup.lock().unwrap().record_session_built();
         counter_add("oracle.sessions_built", 1);
         Ok((s, frame_groups))
     }
@@ -533,13 +538,11 @@ impl Oracle {
     }
 
     fn record(&self, report: &QueryReport) {
-        self.shared.rollup.lock().unwrap().record_query(report);
-        ivy_telemetry::local_record_query(report);
+        self.rollup.lock().unwrap().record_query(report);
     }
 
     fn note_checkout(&self, hit: bool) {
-        self.shared.rollup.lock().unwrap().record_checkout(hit);
-        ivy_telemetry::local_record_checkout(hit);
+        self.rollup.lock().unwrap().record_checkout(hit);
         counter_add(
             if hit {
                 "oracle.frame_hits"
@@ -1016,9 +1019,19 @@ mod tests {
         assert!(view.solve(&frame, &goal).unwrap().is_sat());
         assert!(root.solve(&frame, &goal).unwrap().is_sat());
         assert!(view.solve(&frame, &goal).unwrap().is_sat());
-        let rollup = root.rollup();
-        assert_eq!((rollup.frame_misses, rollup.frame_hits), (1, 2));
-        assert_eq!(view.rollup().sessions_built, 1);
+        // Each rollup shows only its own checkouts: the view's cold miss
+        // and warm hit, the root's warm hit. A fresh view starts empty.
+        let counts = |r: OracleRollup| {
+            (
+                r.frame_misses,
+                r.frame_hits,
+                r.sessions_built,
+                r.report.queries,
+            )
+        };
+        assert_eq!(counts(view.rollup()), (1, 1, 1, 2));
+        assert_eq!(counts(root.rollup()), (0, 1, 0, 1));
+        assert_eq!(root.view().rollup(), OracleRollup::new());
     }
 
     #[test]
@@ -1194,13 +1207,20 @@ mod tests {
         let mut bounded = oracle.view();
         bounded.set_mode(InstantiationMode::Bounded(3));
         bounded.solve(&frame, &goal).unwrap();
-        let rollup = oracle.rollup();
-        assert_eq!(rollup.sessions_built, 2);
-        assert_eq!(rollup.frame_misses, 2);
+        let total = || {
+            let mut rollup = oracle.rollup();
+            rollup.merge(&bounded.rollup());
+            (
+                rollup.sessions_built,
+                rollup.frame_misses,
+                rollup.frame_hits,
+            )
+        };
+        assert_eq!(total(), (2, 2, 0));
         // Each mode reuses its *own* pooled session on the next query.
         oracle.solve(&frame, &goal).unwrap();
         bounded.solve(&frame, &goal).unwrap();
-        assert_eq!(oracle.rollup().sessions_built, 2);
+        assert_eq!(total(), (2, 2, 2));
     }
 
     #[test]

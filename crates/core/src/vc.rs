@@ -63,6 +63,16 @@ impl Conjecture {
             formula,
         }
     }
+
+    /// The model's safety properties, each under its own label: the
+    /// invariant to check when the caller names none.
+    pub fn safety(program: &Program) -> Vec<Conjecture> {
+        program
+            .safety
+            .iter()
+            .map(|(l, f)| Conjecture::new(l.clone(), f.clone()))
+            .collect()
+    }
 }
 
 impl fmt::Display for Conjecture {

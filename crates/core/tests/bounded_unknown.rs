@@ -46,14 +46,6 @@ fn bounded_oracle(depth: usize) -> Arc<Oracle> {
     Arc::new(o)
 }
 
-fn safety(program: &Program) -> Vec<Conjecture> {
-    program
-        .safety
-        .iter()
-        .map(|(l, f)| Conjecture::new(l.clone(), f.clone()))
-        .collect()
-}
-
 fn assert_bound_reached<T: std::fmt::Debug>(engine: &str, r: Result<T, EprError>) {
     match r {
         Err(EprError::Inconclusive(StopReason::BoundReached)) => {}
@@ -65,7 +57,7 @@ fn assert_bound_reached<T: std::fmt::Debug>(engine: &str, r: Result<T, EprError>
 fn verifier_reports_bound_reached_not_a_cti() {
     let p = open_break();
     let v = Verifier::with_oracle(&p, bounded_oracle(2));
-    assert_bound_reached("verifier", v.check(&safety(&p)));
+    assert_bound_reached("verifier", v.check(&Conjecture::safety(&p)));
 }
 
 #[test]
@@ -75,7 +67,7 @@ fn minimal_cti_search_reports_bound_reached() {
     let measures = vec![Measure::SortSize(Sort::new("t"))];
     assert_bound_reached(
         "find_minimal_cti",
-        v.find_minimal_cti(&safety(&p), &measures),
+        v.find_minimal_cti(&Conjecture::safety(&p), &measures),
     );
 }
 
@@ -128,7 +120,7 @@ fn instance_overflow_is_inconclusive_in_bounded_mode() {
     o.set_mode(InstantiationMode::Bounded(2));
     o.set_instance_limit(1);
     let v = Verifier::with_oracle(&p, Arc::new(o));
-    match v.check(&safety(&p)) {
+    match v.check(&Conjecture::safety(&p)) {
         Err(EprError::Inconclusive(StopReason::InstanceBudget)) => {}
         other => panic!("expected Inconclusive(InstanceBudget), got {other:?}"),
     }
@@ -141,7 +133,7 @@ fn fresh_strategy_degrades_identically() {
     o.set_mode(InstantiationMode::Bounded(2));
     o.set_strategy(QueryStrategy::Fresh);
     let v = Verifier::with_oracle(&p, Arc::new(o));
-    assert_bound_reached("verifier(fresh)", v.check(&safety(&p)));
+    assert_bound_reached("verifier(fresh)", v.check(&Conjecture::safety(&p)));
 }
 
 #[test]
@@ -162,10 +154,5 @@ action grow { havoc x; p.insert(x) }
     let p = parse_program(src).unwrap();
     assert!(check_program(&p).iter().all(|e| e.is_fragment()));
     let v = Verifier::with_oracle(&p, bounded_oracle(2));
-    let inv: Vec<Conjecture> = p
-        .safety
-        .iter()
-        .map(|(l, f)| Conjecture::new(l.clone(), f.clone()))
-        .collect();
-    assert!(v.check(&inv).unwrap().is_inductive());
+    assert!(v.check(&Conjecture::safety(&p)).unwrap().is_inductive());
 }

@@ -1,16 +1,18 @@
 //! Concurrency stress: many threads hammering ONE shared oracle with a
 //! mix of frames and engines must produce exactly the verdicts the same
 //! workload produces single-threaded, and the frame-keyed session pool
-//! must hand each pooled session to at most one thread.
+//! must hand each pooled session to at most one thread, and each view
+//! must account for its own work only.
 //!
-//! This is the server seam (`ivy serve` runs every worker against one
-//! `Arc<Oracle>`), exercised without any sockets in the way.
+//! This is the server seam (`ivy serve` runs every request on a view of
+//! one oracle), exercised without any sockets in the way.
 
 use std::sync::{Arc, Barrier};
 
 use ivy_core::{houdini_with_oracle, Bmc, Conjecture, Frame, Inductiveness, Oracle, Verifier};
 use ivy_fol::parse_formula;
 use ivy_rml::{check_program, parse_program, Program};
+use ivy_telemetry::OracleRollup;
 
 const MUTEX: &str = r#"
 sort client
@@ -65,12 +67,7 @@ fn workload(mutex: &Program, spread: &Program, oracle: &Arc<Oracle>) -> Vec<Stri
     });
 
     // 2. Safety alone: a consecution CTI.
-    let safety: Vec<Conjecture> = mutex
-        .safety
-        .iter()
-        .map(|(l, f)| Conjecture::new(l.clone(), f.clone()))
-        .collect();
-    verdicts.push(match v.check(&safety).unwrap() {
+    verdicts.push(match v.check(&Conjecture::safety(mutex)).unwrap() {
         Inductiveness::Inductive => "mutex-weak:inductive".to_string(),
         Inductiveness::Cti(_) => "mutex-weak:cti".to_string(),
     });
@@ -110,7 +107,7 @@ fn shared_oracle_matches_single_threaded_verdicts() {
     shared.set_pool_capacity(THREADS * 8);
 
     let barrier = Barrier::new(THREADS);
-    std::thread::scope(|scope| {
+    let rollup = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..THREADS {
             handles.push(scope.spawn(|| {
@@ -120,19 +117,22 @@ fn shared_oracle_matches_single_threaded_verdicts() {
                 for _ in 0..ROUNDS {
                     transcripts.push(workload(&mutex, &spread, &view));
                 }
-                transcripts
+                (transcripts, view.rollup())
             }));
         }
+        let mut rollup = OracleRollup::new();
         for h in handles {
-            for transcript in h.join().unwrap() {
+            let (transcripts, view_rollup) = h.join().unwrap();
+            for transcript in transcripts {
                 assert_eq!(transcript, reference, "concurrent verdict divergence");
             }
+            rollup.merge(&view_rollup);
         }
+        rollup
     });
 
     // The workload repeated 24 times must have warmed the shared pool:
     // later rounds ride on sessions earlier rounds (of ANY thread) built.
-    let rollup = shared.rollup();
     assert!(
         rollup.frame_hits > rollup.frame_misses,
         "a hot shared pool must serve mostly warm checkouts: {} hits, {} misses",
@@ -200,4 +200,51 @@ fn pool_hands_each_session_to_at_most_one_thread() {
         THREADS as u64,
         "every warm checkout is a pool hit"
     );
+}
+
+/// Verifier checks of the inductive mutex invariant. Every goal is asked
+/// whatever models the solver picks, so the query count is fixed.
+fn check_rounds(mutex: &Program, oracle: &Arc<Oracle>) {
+    let v = Verifier::with_oracle(mutex, oracle.clone());
+    for _ in 0..4 {
+        let verdict = v.check(&mutex_invariant()).unwrap();
+        assert!(matches!(verdict, Inductiveness::Inductive));
+    }
+}
+
+/// Safe BMC runs: every depth is asked, so the query count is fixed too.
+fn bmc_rounds(spread: &Program, oracle: &Arc<Oracle>) {
+    let bmc = Bmc::with_oracle(spread, oracle.clone());
+    for _ in 0..4 {
+        assert!(bmc.check_safety(2).unwrap().is_none());
+    }
+}
+
+#[test]
+fn each_view_counts_only_its_own_queries() {
+    let mutex = program(MUTEX);
+    let spread = program(SPREAD);
+    let alone = |run: fn(&Program, &Arc<Oracle>), p: &Program| {
+        let oracle = Arc::new(Oracle::new());
+        run(p, &oracle);
+        oracle.rollup().report.queries
+    };
+    let expected = [alone(check_rounds, &mutex), alone(bmc_rounds, &spread)];
+
+    // The same two workloads at once, on two views of one root.
+    let root = Oracle::new();
+    let barrier = Barrier::new(2);
+    let on_view = |run: fn(&Program, &Arc<Oracle>), p: &Program| {
+        let view = Arc::new(root.view());
+        barrier.wait();
+        run(p, &view);
+        view.rollup().report.queries
+    };
+    let queries = std::thread::scope(|scope| {
+        let check = scope.spawn(|| on_view(check_rounds, &mutex));
+        let bmc = scope.spawn(|| on_view(bmc_rounds, &spread));
+        [check.join().unwrap(), bmc.join().unwrap()]
+    });
+    assert_eq!(queries, expected, "each view counts its own queries");
+    assert_eq!(root.rollup(), OracleRollup::new(), "the root asked nothing");
 }

@@ -184,27 +184,30 @@ fn field_str(obj: &Json, key: &str) -> Result<Option<String>, WireError> {
     }
 }
 
+/// Splits text in the `.inv` file format into `(name, formula)` pairs:
+/// one `name: formula` per line, blank lines and `#` comments skipped.
+/// The error names the first line without a `:`.
+pub fn parse_inv_lines(text: &str) -> Result<Vec<(String, String)>, String> {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(lineno, line)| {
+            let (name, formula) = line
+                .split_once(':')
+                .ok_or_else(|| format!("line {lineno}: expected `name: formula`"))?;
+            Ok((name.trim().to_string(), formula.trim().to_string()))
+        })
+        .collect()
+}
+
 /// Parses the `invariant` field: an array of `{"name", "formula"}`
-/// objects, or a string of `name: formula` lines (the `.inv` file format;
-/// blank lines and `#` comments ignored).
+/// objects, or a string in the `.inv` file format ([`parse_inv_lines`]).
 fn field_invariant(obj: &Json) -> Result<Option<Vec<(String, String)>>, WireError> {
     let bad = |msg: &str| WireError::new(ErrorCode::Protocol, format!("field `invariant`: {msg}"));
     match obj.get("invariant") {
         None => Ok(None),
-        Some(Json::Str(text)) => {
-            let mut out = Vec::new();
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let (name, formula) = line.split_once(':').ok_or_else(|| {
-                    bad(&format!("line {}: expected `name: formula`", lineno + 1))
-                })?;
-                out.push((name.trim().to_string(), formula.trim().to_string()));
-            }
-            Ok(Some(out))
-        }
+        Some(Json::Str(text)) => parse_inv_lines(text).map(Some).map_err(|e| bad(&e)),
         Some(Json::Arr(items)) => {
             let mut out = Vec::new();
             for item in items {
@@ -351,7 +354,7 @@ mod tests {
         )
         .unwrap();
         let text = parse_request(
-            "{\"cmd\": \"verify\", \"model\": \"m\", \"invariant\": \"# c\\na: x = x\\n\"}",
+            "{\"cmd\": \"verify\", \"model\": \"m\", \"invariant\": \"# c\\n\\n  a : x = x \\n\"}",
         )
         .unwrap();
         assert_eq!(arr.invariant, text.invariant);
@@ -359,6 +362,13 @@ mod tests {
             arr.invariant.unwrap(),
             vec![("a".to_string(), "x = x".to_string())]
         );
+        // A line without `:` is refused by its line number.
+        let (_, err) = parse_request(
+            "{\"cmd\": \"verify\", \"model\": \"m\", \"invariant\": \"# c\\n\\nx = x\"}",
+        )
+        .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Protocol);
+        assert!(err.message.contains("line 3: expected"), "{}", err.message);
     }
 
     #[test]

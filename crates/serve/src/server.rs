@@ -2,8 +2,9 @@
 //!
 //! One [`Server`] owns one base [`Oracle`] whose frame-keyed session pool
 //! is shared by every request: each request derives a *view* of the
-//! oracle carrying that request's budget (`timeout_ms`, `max_instances`),
-//! so admission control is per-request while cache warmth is global.
+//! oracle carrying that request's budget (`timeout_ms`, `max_instances`)
+//! and its own telemetry rollup, so admission control and the response's
+//! `profile` are per-request while cache warmth is global.
 //! Requests are admitted through a bounded gate (`workers` concurrent
 //! executions, `queue` waiting slots); overload is an explicit `busy`
 //! error response, never an unbounded queue.
@@ -28,7 +29,7 @@ use ivy_core::{
 use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::{parse_formula, PartialStructure};
 use ivy_rml::{check_program, parse_program, Program};
-use ivy_telemetry::local_rollup_begin;
+use ivy_telemetry::OracleRollup;
 
 use crate::json::Json;
 use crate::proto::{
@@ -156,6 +157,8 @@ type Verdict = (&'static str, Vec<(&'static str, Json)>);
 pub struct Server {
     config: ServeConfig,
     oracle: Oracle,
+    /// The merged rollups of every finished request's oracle view.
+    total: Mutex<OracleRollup>,
     gate: Gate,
     counters: Counters,
     stop: AtomicBool,
@@ -220,16 +223,12 @@ impl Server {
         Server {
             gate: Gate::new(config.workers, config.queue),
             oracle,
+            total: Mutex::new(OracleRollup::new()),
             counters: Counters::default(),
             stop: AtomicBool::new(false),
             started: Instant::now(),
             config,
         }
-    }
-
-    /// The shared oracle (e.g. to inspect the rollup in tests/benches).
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
     }
 
     /// True once a `shutdown` request was acknowledged.
@@ -295,18 +294,21 @@ impl Server {
             );
         };
         let started = Instant::now();
-        let scope = local_rollup_begin();
-        let result =
-            catch_unwind(AssertUnwindSafe(|| self.dispatch(req, budget))).unwrap_or_else(|panic| {
+        let oracle = self.oracle_view(req, budget);
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(req, &oracle))).unwrap_or_else(
+            |panic| {
                 let msg = panic_message(&panic);
                 Err(WireError::new(ErrorCode::Internal, msg))
-            });
-        let rollup = scope.finish();
+            },
+        );
+        let rollup = oracle.rollup();
+        self.total.lock().unwrap().merge(&rollup);
         let wall = started.elapsed();
 
-        // Per-request telemetry: the thread-local rollup collected during
-        // dispatch, published as an `ivy-profile-v1` block plus explicit
-        // cache provenance.
+        // Per-request telemetry: the request view's rollup, published as
+        // an `ivy-profile-v1` block plus explicit cache provenance. The
+        // global phase and counter registry covers every request in the
+        // process, so the block leaves it out.
         let (verdict, mut fields, error) = match result {
             Ok((verdict, fields)) => (verdict, fields, None),
             Err(err) => ("unknown", Vec::new(), Some(err)),
@@ -314,7 +316,7 @@ impl Server {
         let mut report = rollup.report.clone();
         report.outcome = verdict.to_string();
         report.wall_nanos = wall.as_nanos();
-        let profile = Json::parse(&report.to_json_with(&[("command", cmd_tag(req.cmd))]))
+        let profile = Json::parse(&report.to_json_with(&[("command", cmd_tag(req.cmd))], &[], &[]))
             .unwrap_or(Json::Null);
         fields.push(("profile", profile));
         fields.push((
@@ -371,7 +373,8 @@ impl Server {
         }
     }
 
-    /// A per-request oracle view: shared pool, request-local budget.
+    /// A per-request oracle view: shared pool, request-local budget and
+    /// rollup.
     fn oracle_view(&self, req: &Request, budget: Budget) -> Arc<Oracle> {
         let mut view = self.oracle.view();
         view.set_budget(budget);
@@ -397,13 +400,12 @@ impl Server {
     }
 
     /// Runs the engine for one admitted request.
-    fn dispatch(&self, req: &Request, budget: Budget) -> Result<Verdict, WireError> {
+    fn dispatch(&self, req: &Request, oracle: &Arc<Oracle>) -> Result<Verdict, WireError> {
         let program = self.load_model(req)?;
-        let oracle = self.oracle_view(req, budget);
         match req.cmd {
             Command::Verify => {
                 let inv = conjectures(&program, req)?;
-                let v = Verifier::with_oracle(&program, oracle);
+                let v = Verifier::with_oracle(&program, oracle.clone());
                 match v.check(&inv).map_err(engine_error)? {
                     Inductiveness::Inductive => Ok((
                         "inductive",
@@ -423,7 +425,7 @@ impl Server {
             }
             Command::Bmc => {
                 let depth = req.depth.unwrap_or(3);
-                let bmc = Bmc::with_oracle(&program, oracle);
+                let bmc = Bmc::with_oracle(&program, oracle.clone());
                 match bmc.check_safety(depth).map_err(engine_error)? {
                     None => Ok(("safe", vec![("depth", Json::num(depth as f64))])),
                     Some(trace) => Ok((
@@ -436,7 +438,7 @@ impl Server {
                 }
             }
             Command::Houdini => {
-                let candidates = match conjectures_opt(&program, req)? {
+                let candidates = match conjectures_opt(req)? {
                     Some(given) => given,
                     None => {
                         let vars = req.vars.unwrap_or(2);
@@ -445,7 +447,7 @@ impl Server {
                     }
                 };
                 let result =
-                    houdini_with_oracle(&program, candidates, &oracle).map_err(engine_error)?;
+                    houdini_with_oracle(&program, candidates, oracle).map_err(engine_error)?;
                 let survivors: Vec<Json> = result
                     .invariant
                     .iter()
@@ -470,7 +472,7 @@ impl Server {
                     max_literals: req.lits.unwrap_or(2),
                     ..InferOptions::default()
                 };
-                let report = infer(&program, &oracle, &opts).map_err(engine_error)?;
+                let report = infer(&program, oracle, &opts).map_err(engine_error)?;
                 let invariant: Vec<Json> = report
                     .invariant
                     .iter()
@@ -501,7 +503,7 @@ impl Server {
                 };
                 let upper = PartialStructure::from_structure(&cti.state);
                 let bound = req.depth.unwrap_or(2);
-                let g = Generalizer::with_oracle(&program, oracle);
+                let g = Generalizer::with_oracle(&program, oracle.clone());
                 match g.auto_generalize(&upper, bound).map_err(engine_error)? {
                     AutoGen::TooStrong(trace) => Ok((
                         "too_strong",
@@ -557,11 +559,12 @@ impl Server {
         Ok(program)
     }
 
-    /// `status`: server health, counters, and shared-cache telemetry.
+    /// `status`: server health, counters, and the oracle telemetry of
+    /// every finished request.
     fn status(&self, req: &Request) -> Handled {
         self.counters.ok.fetch_add(1, Ordering::Relaxed);
         let (active, waiting) = self.gate.load();
-        let rollup = self.oracle.rollup();
+        let rollup = self.total.lock().unwrap().clone();
         let response = ok_response(
             &req.id,
             "ok",
@@ -841,18 +844,10 @@ fn engine_error(e: EprError) -> WireError {
 /// The invariant to check: the request's conjectures, or the model's
 /// safety properties.
 fn conjectures(program: &Program, req: &Request) -> Result<Vec<Conjecture>, WireError> {
-    Ok(match conjectures_opt(program, req)? {
-        Some(given) => given,
-        None => program
-            .safety
-            .iter()
-            .map(|(label, f)| Conjecture::new(label.clone(), f.clone()))
-            .collect(),
-    })
+    Ok(conjectures_opt(req)?.unwrap_or_else(|| Conjecture::safety(program)))
 }
 
-fn conjectures_opt(program: &Program, req: &Request) -> Result<Option<Vec<Conjecture>>, WireError> {
-    let _ = program;
+fn conjectures_opt(req: &Request) -> Result<Option<Vec<Conjecture>>, WireError> {
     let Some(named) = &req.invariant else {
         return Ok(None);
     };

@@ -265,14 +265,29 @@ fn status_reports_counters_and_shutdown_drains() {
     let s = server();
     let model = Json::str(MODEL).to_string();
     let req = request(&[("cmd", "\"verify\""), ("model", &model)]);
-    s.handle_line(&req);
+    let bmc = request(&[("cmd", "\"bmc\""), ("model", &model), ("depth", "1")]);
+    let responses: Vec<Json> = [&req, &bmc]
+        .map(|line| check_envelope(&s.handle_line(line).response))
+        .into();
 
     let resp = check_envelope(&s.handle_line(r#"{"cmd": "status"}"#).response);
     assert_eq!(resp.get("verdict").and_then(Json::as_str), Some("ok"));
     let requests = json_field(&resp, "requests");
-    assert!(requests.get("received").and_then(Json::as_u64).unwrap() >= 2);
+    assert!(requests.get("received").and_then(Json::as_u64).unwrap() >= 3);
+    // The `oracle` block totals the finished requests' own accounts.
     let oracle = json_field(&resp, "oracle");
     assert!(oracle.get("queries").and_then(Json::as_u64).unwrap() > 0);
+    for (block, key) in [
+        ("profile", "queries"),
+        ("cache", "frame_hits"),
+        ("cache", "frame_misses"),
+        ("cache", "sessions_built"),
+    ] {
+        let count = |r: &Json| json_field(json_field(r, block), key).as_u64().unwrap();
+        let sum: u64 = responses.iter().map(count).sum();
+        let total = json_field(oracle, key).as_u64();
+        assert_eq!(total, Some(sum), "{key}: {resp}");
+    }
 
     let handled = s.handle_line(r#"{"cmd": "shutdown"}"#);
     let resp = check_envelope(&handled.response);

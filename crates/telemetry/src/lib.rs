@@ -12,7 +12,7 @@
 //! * **[`QueryReport`]** — a merged, machine-readable account of one or
 //!   more solver queries: wall time by phase, grounding sizes, clause /
 //!   conflict / restart / propagation counts, and cache hit rates. It
-//!   serializes itself to JSON by hand (`to_json`); the schema is
+//!   serializes itself to JSON by hand (`to_json_with`); the schema is
 //!   documented in DESIGN.md §4e.
 //!
 //! * **[`Budget`]** — a deadline plus conflict and instantiation caps
@@ -20,12 +20,6 @@
 //!   Exceeding the deadline degrades gracefully: queries report
 //!   `Unknown(`[`StopReason`]`)` with partial statistics instead of
 //!   running unbounded or panicking.
-//!
-//! * **Per-thread rollup scopes** — [`local_rollup_begin`] collects an
-//!   [`OracleRollup`] for just the work recorded on the current thread
-//!   while the scope is active. This is what lets a multi-tenant server
-//!   report per-request telemetry while many requests share one process
-//!   (the global registry cannot distinguish them).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,7 +229,7 @@ impl Budget {
 ///
 /// Built by the single stats builder in `ivy-epr` so the per-check and
 /// per-session counters cannot diverge, then optionally merged across
-/// queries by callers. `to_json` emits the `ivy-profile-v1` object
+/// queries by callers. `to_json_with` emits the `ivy-profile-v1` object
 /// documented in DESIGN.md §4e.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryReport {
@@ -281,14 +275,10 @@ fn rate(hits: u64, misses: u64) -> f64 {
 }
 
 impl QueryReport {
-    pub fn new() -> QueryReport {
-        QueryReport::default()
-    }
-
     /// Fold another report into this one: counters add, universe takes
     /// the max, outcome/stop take the other's (latest wins).
     pub fn merge(&mut self, other: &QueryReport) {
-        self.queries += other.queries.max(1);
+        self.queries += other.queries;
         if !other.outcome.is_empty() {
             self.outcome = other.outcome.clone();
         }
@@ -321,15 +311,19 @@ impl QueryReport {
         rate(self.atom_cache_hits, self.atom_cache_misses)
     }
 
-    /// Serialize as a standalone `ivy-profile-v1` JSON object,
-    /// including the current global phase and counter snapshots.
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&[])
-    }
-
-    /// Like [`QueryReport::to_json`] with extra top-level string
-    /// fields (e.g. `protocol`, `command`, `verdict`) prepended.
-    pub fn to_json_with(&self, extra: &[(&str, &str)]) -> String {
+    /// Serialize as a standalone `ivy-profile-v1` JSON object with extra
+    /// top-level string fields (e.g. `protocol`, `command`, `verdict`)
+    /// prepended. `phases` and `counters` are written as given: a profile
+    /// of the whole process passes [`phase_snapshot`] and
+    /// [`counter_snapshot`]; one that covers only part of the process
+    /// passes nothing, since the global registry cannot tell who recorded
+    /// what.
+    pub fn to_json_with(
+        &self,
+        extra: &[(&str, &str)],
+        phases: &[(String, PhaseStat)],
+        counters: &[(String, u64)],
+    ) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"schema\": \"ivy-profile-v1\"");
         for (k, v) in extra {
@@ -353,7 +347,6 @@ impl QueryReport {
             self.wall_nanos as f64 / 1.0e6
         ));
         out.push_str(",\n  \"phases\": [");
-        let phases = phase_snapshot();
         for (i, (name, stat)) in phases.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -371,7 +364,6 @@ impl QueryReport {
         }
         out.push(']');
         out.push_str(",\n  \"counters\": {");
-        let counters = counter_snapshot();
         for (i, (name, value)) in counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -463,108 +455,19 @@ impl OracleRollup {
         self.sessions_built += 1;
     }
 
+    /// Fold another rollup into this one (the report as in
+    /// [`QueryReport::merge`], the cache counts added).
+    pub fn merge(&mut self, other: &OracleRollup) {
+        self.report.merge(&other.report);
+        self.frame_hits += other.frame_hits;
+        self.frame_misses += other.frame_misses;
+        self.sessions_built += other.sessions_built;
+    }
+
     /// Fraction of checkouts served from the frame cache.
     pub fn frame_hit_rate(&self) -> f64 {
         rate(self.frame_hits, self.frame_misses)
     }
-
-    /// Serialize the rollup as a small standalone JSON object (not the
-    /// full `ivy-profile-v1` schema; use `report.to_json` for that).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"queries\": {}, \"wall_ms\": {:.3}, \"frame_hits\": {}, \
-             \"frame_misses\": {}, \"frame_hit_rate\": {:.4}, \
-             \"sessions_built\": {}}}",
-            self.report.queries,
-            self.report.wall_nanos as f64 / 1.0e6,
-            self.frame_hits,
-            self.frame_misses,
-            self.frame_hit_rate(),
-            self.sessions_built
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread rollup scopes
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Stack of active per-thread rollup scopes (usually 0 or 1 deep).
-    static LOCAL_ROLLUPS: std::cell::RefCell<Vec<OracleRollup>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// A per-thread telemetry collection scope (see [`local_rollup_begin`]).
-///
-/// Not `Send`: the scope must finish on the thread that began it.
-#[must_use = "a scope collects until finished; an unfinished scope is discarded on drop"]
-pub struct LocalRollupScope {
-    finished: bool,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Begins collecting an [`OracleRollup`] for the *current thread*: until
-/// the returned scope is [`finished`](LocalRollupScope::finish), every
-/// query report, session checkout, and session build recorded on this
-/// thread via [`local_record_query`] / [`local_record_checkout`] /
-/// [`local_record_session_built`] is folded into the scope's rollup.
-///
-/// This is how a server attributes solver work to one request without
-/// touching the process-global registry: the request handler wraps the
-/// engine call in a scope and embeds the finished rollup in the response.
-/// Every query strategy runs on the calling thread, so all of an engine's
-/// work is captured.
-pub fn local_rollup_begin() -> LocalRollupScope {
-    LOCAL_ROLLUPS.with(|s| s.borrow_mut().push(OracleRollup::new()));
-    LocalRollupScope {
-        finished: false,
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl LocalRollupScope {
-    /// Ends the scope and returns everything recorded during it.
-    pub fn finish(mut self) -> OracleRollup {
-        self.finished = true;
-        LOCAL_ROLLUPS.with(|s| s.borrow_mut().pop().expect("scope was begun"))
-    }
-}
-
-impl Drop for LocalRollupScope {
-    fn drop(&mut self) {
-        if !self.finished {
-            LOCAL_ROLLUPS.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-}
-
-/// Folds `f` into the innermost active scope on this thread, if any.
-fn with_local_scope(f: impl FnOnce(&mut OracleRollup)) {
-    LOCAL_ROLLUPS.with(|s| {
-        if let Some(rollup) = s.borrow_mut().last_mut() {
-            f(rollup);
-        }
-    });
-}
-
-/// Records one query report into the current thread's scope (no-op
-/// without an active scope). Called by the solver oracle next to its own
-/// rollup accounting.
-pub fn local_record_query(report: &QueryReport) {
-    with_local_scope(|r| r.record_query(report));
-}
-
-/// Records one session checkout into the current thread's scope.
-pub fn local_record_checkout(hit: bool) {
-    with_local_scope(|r| r.record_checkout(hit));
-}
-
-/// Records one session build into the current thread's scope.
-pub fn local_record_session_built() {
-    with_local_scope(|r| r.record_session_built());
 }
 
 /// Append `s` as a JSON string literal (quotes, backslashes, and
@@ -659,14 +562,19 @@ mod tests {
             ..QueryReport::default()
         };
         a.merge(&b);
+        // An empty report counts no query.
+        a.merge(&QueryReport::default());
         assert_eq!(a.queries, 2);
         assert_eq!(a.outcome, "unknown");
         assert_eq!(a.stop, Some(StopReason::DeadlineExceeded));
         assert_eq!(a.universe, 10);
         assert_eq!(a.instances, 150);
         assert_eq!(a.conflicts, 7);
-        let json = a.to_json_with(&[("protocol", "leader")]);
+        let phases = [("sat".to_string(), PhaseStat { nanos: 1, calls: 1 })];
+        let json = a.to_json_with(&[("protocol", "leader")], &phases, &[]);
         assert!(json.contains("\"schema\": \"ivy-profile-v1\""));
+        assert!(json.contains("{\"phase\": \"sat\", \"calls\": 1"));
+        assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"protocol\": \"leader\""));
         assert!(json.contains("\"stop\": \"deadline\""));
         assert!(json.contains("\"outcome\": \"unknown\""));
@@ -699,58 +607,15 @@ mod tests {
         assert!((r.frame_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(r.report.queries, 2);
         assert_eq!(r.report.instances, 42);
-        let json = r.to_json();
-        assert!(json.contains("\"frame_hits\": 2"));
-        assert!(json.contains("\"sessions_built\": 1"));
-    }
-
-    #[test]
-    fn local_rollup_scope_collects_thread_locally() {
-        // No scope: records are dropped silently.
-        local_record_checkout(true);
-        local_record_session_built();
-
-        let scope = local_rollup_begin();
-        local_record_checkout(true);
-        local_record_checkout(false);
-        local_record_session_built();
-        local_record_query(&QueryReport {
-            queries: 1,
-            instances: 7,
-            ..QueryReport::default()
-        });
-        // Another thread's records do not leak into this scope.
-        std::thread::spawn(|| {
-            local_record_checkout(true);
-            local_record_query(&QueryReport {
-                queries: 1,
-                ..QueryReport::default()
-            });
-        })
-        .join()
-        .unwrap();
-        let rollup = scope.finish();
-        assert_eq!(rollup.frame_hits, 1);
-        assert_eq!(rollup.frame_misses, 1);
-        assert_eq!(rollup.sessions_built, 1);
-        assert_eq!(rollup.report.queries, 1);
-        assert_eq!(rollup.report.instances, 7);
-
-        // Nested scopes: the inner scope shadows the outer one.
-        let outer = local_rollup_begin();
-        let inner = local_rollup_begin();
-        local_record_checkout(true);
-        assert_eq!(inner.finish().frame_hits, 1);
-        local_record_checkout(false);
-        let outer = outer.finish();
-        assert_eq!(outer.frame_hits, 0);
-        assert_eq!(outer.frame_misses, 1);
-
-        // An unfinished scope unwinds cleanly on drop.
-        {
-            let _abandoned = local_rollup_begin();
-        }
-        local_record_checkout(true); // no active scope: dropped, no panic
+        let mut total = r.clone();
+        total.merge(&OracleRollup::new());
+        assert_eq!(total, r);
+        total.merge(&r);
+        assert_eq!(
+            (total.frame_hits, total.frame_misses, total.sessions_built),
+            (4, 2, 2)
+        );
+        assert_eq!(total.report.queries, 4);
     }
 
     #[test]
