@@ -52,7 +52,7 @@ use ivy_epr::{Budget, EprError, InstantiationMode};
 use ivy_fol::parse_formula;
 use ivy_rml::{check_program, parse_program, CheckError, Program};
 use ivy_serve::proto::parse_inv_lines;
-use ivy_serve::{Client, Endpoint, Json, Listener, ServeConfig, Server};
+use ivy_serve::{profile, Client, Endpoint, Json, Listener, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -170,8 +170,9 @@ fn usage_error(msg: &str) -> ExitCode {
 
 /// Writes the `ivy-profile-v1` report: the merge of every query the
 /// oracle answered (counters summed; universe, SAT variables and clauses
-/// at their maxima), plus wall time, outcome, and cache-layer stats only
-/// the front end can see.
+/// at their maxima), plus wall time, outcome, the frame-cache block, and
+/// what only a whole-process profile may report: the global phase and
+/// counter registry and the interner's totals.
 fn write_profile(
     path: &str,
     args: &[String],
@@ -180,21 +181,22 @@ fn write_profile(
     stop: Option<ivy_epr::StopReason>,
     wall: Duration,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mut report = oracle.rollup().report;
+    let rollup = oracle.rollup();
+    let mut report = rollup.report.clone();
     report.outcome = verdict.to_string();
     report.stop = stop;
     report.wall_nanos = wall.as_nanos();
-    let (hits, misses) = ivy_fol::intern::cache_stats();
-    report.intern_hits = hits;
-    report.intern_misses = misses;
-    let command = args.first().map(String::as_str).unwrap_or("");
-    let model = args.get(1).map(String::as_str).unwrap_or("");
-    let json = report.to_json_with(
-        &[("command", command), ("model", model)],
+    let mut json = profile::profile(
+        &report,
         &ivy_telemetry::phase_snapshot(),
         &ivy_telemetry::counter_snapshot(),
+        Some(ivy_fol::intern::cache_stats()),
     );
-    std::fs::write(path, json)?;
+    let arg = |i: usize| Json::str(args.get(i).map(String::as_str).unwrap_or(""));
+    json.insert("command", arg(0));
+    json.insert("model", arg(1));
+    json.insert("cache", profile::cache(&rollup));
+    std::fs::write(path, format!("{json}\n"))?;
     Ok(())
 }
 

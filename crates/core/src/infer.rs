@@ -13,7 +13,7 @@
 //!    clauses are emitted once. Template variables use the `V_`-prefixed
 //!    [`ivy_fol::template_var`] names, disjoint from diagram variables.
 //! 2. **Filter** — a reachability pre-filter first drops every candidate
-//!    some state reachable within [`InferOptions::reach_depth`] steps
+//!    some state reachable within two steps (`REACH_DEPTH`)
 //!    falsifies, walking the depths on one BMC scan of the unrolling. Then
 //!    [`houdini_with_oracle`] drops every candidate falsified by an
 //!    initiation counterexample or a consecution CTI successor. All
@@ -305,19 +305,6 @@ pub struct InferOptions {
     pub vars_per_sort: usize,
     /// Literals per clause to start from.
     pub max_literals: usize,
-    /// Ceiling for incremental literal enlargement.
-    pub literal_cap: usize,
-    /// Ceiling for incremental variable enlargement.
-    pub var_cap: usize,
-    /// Maximum CTI-guided blocking rounds before giving up.
-    pub max_rounds: usize,
-    /// Depth of the reachability pre-filter: before Houdini ever asserts a
-    /// hypothesis, every candidate violated in some state reachable within
-    /// this many steps is mass-eliminated with goal-only batched probes.
-    pub reach_depth: usize,
-    /// BMC bound `k` for checking blocking conjectures (the paper's
-    /// `k`-invariance of generalizations).
-    pub generalize_bound: usize,
     /// CTI minimization measures (Section 4.3, Algorithm 1). Small CTI
     /// states yield narrow diagrams — and narrow blocking clauses ground
     /// cheaply when asserted as Houdini hypotheses. When empty, one
@@ -337,11 +324,6 @@ impl Default for InferOptions {
         InferOptions {
             vars_per_sort: 2,
             max_literals: 2,
-            literal_cap: 3,
-            var_cap: 3,
-            max_rounds: 64,
-            reach_depth: 2,
-            generalize_bound: 2,
             measures: Vec::new(),
             include_constants: true,
         }
@@ -381,14 +363,32 @@ fn debug(msg: impl FnOnce() -> String) {
     }
 }
 
+/// Ceiling for incremental literal enlargement of the template.
+const LITERAL_CAP: usize = 3;
+
+/// Ceiling for incremental variable enlargement of the template.
+const VAR_CAP: usize = 3;
+
+/// Maximum CTI-guided blocking rounds before giving up.
+const MAX_ROUNDS: usize = 64;
+
+/// Depth of the reachability pre-filter: before Houdini ever asserts a
+/// hypothesis, every candidate violated in some state reachable within
+/// this many steps is mass-eliminated with goal-only batched probes.
+const REACH_DEPTH: usize = 2;
+
+/// BMC bound `k` for checking blocking conjectures (the paper's
+/// `k`-invariance of generalizations).
+const GENERALIZE_BOUND: usize = 2;
+
 /// How many extra reachability-filter depths [`infer`] may explore beyond
-/// [`InferOptions::reach_depth`] when Houdini's consecution frame would
+/// [`REACH_DEPTH`] when Houdini's consecution frame would
 /// exceed the oracle's instance limit. Each extra depth mass-eliminates
 /// more candidates before the retry, shrinking the hypothesis set instead
 /// of raising the limit.
 const MAX_REACH_DEEPENING: usize = 4;
 
-/// How far past [`InferOptions::generalize_bound`] the loop may deepen the
+/// How far past [`GENERALIZE_BOUND`] the loop may deepen the
 /// generalization BMC bound. A blocking clause that is `k`-invariant but
 /// excludes a state reachable in more than `k` steps is only discovered
 /// when a later CTI retires it; deepening the bound makes the regenerated
@@ -504,7 +504,7 @@ pub fn infer(
         program,
         oracle,
         &mut pool,
-        0..=opts.reach_depth,
+        0..=REACH_DEPTH,
         &mut report.filter_states,
     )?;
     report.filtered_out += before - pool.len();
@@ -529,9 +529,9 @@ pub fn infer(
     let mut blocking: Vec<Conjecture> = Vec::new();
     let mut blocked_ids: HashSet<FormulaId> = HashSet::new();
     let mut rounds = 0usize;
-    let mut reach = opts.reach_depth;
-    let mut gen_bound = opts.generalize_bound;
-    let gen_cap = opts.generalize_bound + MAX_GEN_DEEPENING;
+    let mut reach = REACH_DEPTH;
+    let mut gen_bound = GENERALIZE_BOUND;
+    let gen_cap = GENERALIZE_BOUND + MAX_GEN_DEEPENING;
 
     loop {
         // Filter: safety + blocking conjectures + template pool. Houdini
@@ -556,7 +556,7 @@ pub fn infer(
             match houdini_with_oracle(program, candidates, oracle) {
                 Ok(h) => break h,
                 Err(EprError::TooManyInstances { .. })
-                    if reach >= opts.reach_depth + MAX_REACH_DEEPENING || pool.is_empty() =>
+                    if reach >= REACH_DEPTH + MAX_REACH_DEEPENING || pool.is_empty() =>
                 {
                     // Deepening is exhausted and the hypothesis set still
                     // grounds over the instance limit: degrade to Unknown —
@@ -613,7 +613,7 @@ pub fn infer(
             break;
         }
 
-        if rounds >= opts.max_rounds {
+        if rounds >= MAX_ROUNDS {
             report.invariant = survivors;
             break;
         }
@@ -730,9 +730,9 @@ pub fn infer(
             // Generalization stagnated: enlarge the template incrementally
             // (literals first, then variables) and add only clauses whose
             // canonical key is new.
-            if spec.max_literals < opts.literal_cap {
+            if spec.max_literals < LITERAL_CAP {
                 spec.max_literals += 1;
-            } else if spec.vars_per_sort < opts.var_cap {
+            } else if spec.vars_per_sort < VAR_CAP {
                 spec.vars_per_sort += 1;
             } else {
                 report.invariant = survivors;

@@ -225,7 +225,6 @@ impl GroundStats {
         stop: Option<StopReason>,
         wall_nanos: u128,
     ) -> QueryReport {
-        let (intern_hits, intern_misses) = ivy_fol::intern::cache_stats();
         let report = QueryReport {
             queries: 1,
             outcome: outcome.to_string(),
@@ -246,8 +245,6 @@ impl GroundStats {
                 .sat
                 .deleted_clauses
                 .saturating_sub(prev.sat.deleted_clauses),
-            intern_hits,
-            intern_misses,
             atom_cache_hits: self.atom_hits.saturating_sub(prev.atom_hits),
             atom_cache_misses: self.atom_misses.saturating_sub(prev.atom_misses),
         };

@@ -410,8 +410,9 @@ impl Interner {
     }
 
     /// `(hits, misses)` of the hash-consing tables, cumulative for the
-    /// process. The telemetry layer reports the hit rate per profile run
-    /// by differencing two snapshots.
+    /// process. Only a profile of the whole process (the CLI's
+    /// `--profile`) reports them: a per-request count cannot be read off
+    /// a table every request shares.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }

@@ -63,6 +63,13 @@ impl Json {
         Json::Num(n)
     }
 
+    /// Sets `key` on an object (a no-op on any other value).
+    pub fn insert(&mut self, key: &str, value: Json) {
+        if let Json::Obj(map) = self {
+            map.insert(key.to_string(), value);
+        }
+    }
+
     /// Looks up a key on an object (`None` on non-objects and absent or
     /// `null` fields).
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -454,6 +461,14 @@ mod tests {
         let s = v.to_string();
         assert!(!s.contains('\n'), "{s}");
         assert_eq!(Json::parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn serialization_escapes_control_characters() {
+        assert_eq!(
+            Json::str("a\"b\\c\nd\u{1}").to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   `docs/serve-protocol.md` for the normative description).
 //! - [`json`] — a dependency-free JSON parser and single-line
 //!   serializer (the whole crate is std-only).
+//! - [`profile`] — the one writer of the `ivy-profile-v1` object, for
+//!   responses, `status` and the CLI's `--profile` file.
 //! - [`client`] — a blocking one-line-in, one-line-out client used by
 //!   `ivy client` and the load test in `tests/serve_load.rs`.
 //!
@@ -25,6 +27,7 @@
 
 pub mod client;
 pub mod json;
+pub mod profile;
 pub mod proto;
 pub mod server;
 

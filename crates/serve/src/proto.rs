@@ -95,17 +95,24 @@ pub enum Command {
 }
 
 impl Command {
+    /// The command's `cmd` tag on the wire.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Command::Verify => "verify",
+            Command::Bmc => "bmc",
+            Command::Houdini => "houdini",
+            Command::Infer => "infer",
+            Command::Generalize => "generalize",
+            Command::Status => "status",
+            Command::Shutdown => "shutdown",
+        }
+    }
+
     fn from_tag(tag: &str) -> Option<Command> {
-        Some(match tag {
-            "verify" => Command::Verify,
-            "bmc" => Command::Bmc,
-            "houdini" => Command::Houdini,
-            "infer" => Command::Infer,
-            "generalize" => Command::Generalize,
-            "status" => Command::Status,
-            "shutdown" => Command::Shutdown,
-            _ => return None,
-        })
+        use Command::*;
+        [Verify, Bmc, Houdini, Infer, Generalize, Status, Shutdown]
+            .into_iter()
+            .find(|c| c.tag() == tag)
     }
 
     /// True when the command runs solver work (and therefore passes
@@ -280,9 +287,10 @@ fn parse_request_fields(value: &Json, id: Json) -> Result<Request, WireError> {
     Ok(req)
 }
 
-/// Serializes an error response for `id` (one line, newline-terminated).
-pub fn error_response(id: &Json, err: &WireError) -> String {
-    let mut obj = Json::obj([
+/// The error response for `id`. Its `Display` is one protocol line.
+pub fn error_response(id: &Json, err: &WireError) -> Json {
+    Json::obj([
+        ("id", id.clone()),
         ("ok", Json::Bool(false)),
         (
             "error",
@@ -291,29 +299,25 @@ pub fn error_response(id: &Json, err: &WireError) -> String {
                 ("message", Json::str(err.message.clone())),
             ]),
         ),
-    ]);
-    if let Json::Obj(map) = &mut obj {
-        map.insert("id".to_string(), id.clone());
-    }
-    format!("{obj}\n")
+    ])
 }
 
-/// Serializes a success response: `fields` are merged into the envelope
-/// `{"id": ..., "ok": true, "verdict": ...}` (one line,
-/// newline-terminated).
+/// The success response `{"id": ..., "ok": true, "verdict": ...}` with
+/// `fields` merged in. Its `Display` is one protocol line.
 pub fn ok_response(
     id: &Json,
     verdict: &str,
     fields: impl IntoIterator<Item = (&'static str, Json)>,
-) -> String {
-    let mut obj = Json::obj([("ok", Json::Bool(true)), ("verdict", Json::str(verdict))]);
-    if let Json::Obj(map) = &mut obj {
-        map.insert("id".to_string(), id.clone());
-        for (k, v) in fields {
-            map.insert(k.to_string(), v);
-        }
+) -> Json {
+    let mut obj = Json::obj([
+        ("id", id.clone()),
+        ("ok", Json::Bool(true)),
+        ("verdict", Json::str(verdict)),
+    ]);
+    for (k, v) in fields {
+        obj.insert(k, v);
     }
-    format!("{obj}\n")
+    obj
 }
 
 #[cfg(test)]
@@ -411,10 +415,9 @@ mod tests {
     #[test]
     fn responses_echo_the_id_and_stay_single_line() {
         let id = Json::str("req-1");
-        let err = error_response(&id, &WireError::new(ErrorCode::Busy, "try\nlater"));
-        assert!(err.ends_with('\n'));
-        assert_eq!(err.matches('\n').count(), 1);
-        let v = Json::parse(err.trim()).unwrap();
+        let err = error_response(&id, &WireError::new(ErrorCode::Busy, "try\nlater")).to_string();
+        assert!(!err.contains('\n'), "{err}");
+        let v = Json::parse(&err).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_str), Some("req-1"));
         assert_eq!(
             v.get("error")
@@ -422,8 +425,9 @@ mod tests {
                 .and_then(Json::as_str),
             Some("busy")
         );
-        let ok = ok_response(&id, "inductive", [("wall_ms", Json::num(1.5))]);
-        let v = Json::parse(ok.trim()).unwrap();
+        let ok = ok_response(&id, "inductive", [("wall_ms", Json::num(1.5))]).to_string();
+        assert!(!ok.contains('\n'), "{ok}");
+        let v = Json::parse(&ok).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("verdict").and_then(Json::as_str), Some("inductive"));
     }

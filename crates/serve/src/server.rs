@@ -32,6 +32,7 @@ use ivy_rml::{check_program, parse_program, Program};
 use ivy_telemetry::OracleRollup;
 
 use crate::json::Json;
+use crate::profile;
 use crate::proto::{
     error_response, ok_response, parse_request, Command, ErrorCode, Request, WireError,
 };
@@ -174,6 +175,15 @@ pub struct Handled {
     pub close: bool,
 }
 
+impl Handled {
+    fn new(response: Json, close: bool) -> Handled {
+        Handled {
+            response: format!("{response}\n"),
+            close,
+        }
+    }
+}
+
 /// A bound listening socket for [`Server::serve_listener`].
 pub enum Listener {
     /// TCP.
@@ -251,23 +261,15 @@ impl Server {
             Err((id, err)) => return self.refuse(&id, &err),
         };
         if self.stopping() && req.cmd != Command::Status {
-            return Handled {
-                response: error_response(
-                    &req.id,
-                    &WireError::new(ErrorCode::Shutdown, "server is shutting down"),
-                ),
-                close: true,
-            };
+            let err = WireError::new(ErrorCode::Shutdown, "server is shutting down");
+            return Handled::new(error_response(&req.id, &err), true);
         }
         match req.cmd {
             Command::Status => self.status(&req),
             Command::Shutdown => {
                 self.request_stop();
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
-                Handled {
-                    response: ok_response(&req.id, "ok", []),
-                    close: true,
-                }
+                Handled::new(ok_response(&req.id, "ok", []), true)
             }
             _ => self.execute(&req),
         }
@@ -309,51 +311,22 @@ impl Server {
         // an `ivy-profile-v1` block plus explicit cache provenance. The
         // global phase and counter registry covers every request in the
         // process, so the block leaves it out.
-        let (verdict, mut fields, error) = match result {
-            Ok((verdict, fields)) => (verdict, fields, None),
-            Err(err) => ("unknown", Vec::new(), Some(err)),
-        };
+        let verdict = result.as_ref().map_or("unknown", |(verdict, _)| *verdict);
         let mut report = rollup.report.clone();
         report.outcome = verdict.to_string();
         report.wall_nanos = wall.as_nanos();
-        let profile = Json::parse(&report.to_json_with(&[("command", cmd_tag(req.cmd))], &[], &[]))
-            .unwrap_or(Json::Null);
-        fields.push(("profile", profile));
-        fields.push((
-            "cache",
-            Json::obj([
-                ("frame_hits", Json::num(rollup.frame_hits as f64)),
-                ("frame_misses", Json::num(rollup.frame_misses as f64)),
-                ("sessions_built", Json::num(rollup.sessions_built as f64)),
-                ("hit_rate", Json::num(rollup.frame_hit_rate())),
-            ]),
-        ));
-        fields.push(("wall_ms", Json::num(wall.as_secs_f64() * 1e3)));
-
-        match error {
-            None => {
-                self.counters.ok.fetch_add(1, Ordering::Relaxed);
-                Handled {
-                    response: ok_response(&req.id, verdict, fields),
-                    close: false,
-                }
-            }
-            Some(err) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let mut resp = Json::parse(error_response(&req.id, &err).trim())
-                    .expect("error responses are valid JSON");
-                if let Json::Obj(map) = &mut resp {
-                    map.insert("verdict".to_string(), Json::str(verdict));
-                    for (k, v) in fields {
-                        map.insert(k.to_string(), v);
-                    }
-                }
-                Handled {
-                    response: format!("{resp}\n"),
-                    close: false,
-                }
-            }
-        }
+        let mut profile = profile::profile(&report, &[], &[], None);
+        profile.insert("command", Json::str(req.cmd.tag()));
+        let (mut response, counter) = match result {
+            Ok((verdict, fields)) => (ok_response(&req.id, verdict, fields), &self.counters.ok),
+            Err(err) => (error_response(&req.id, &err), &self.counters.errors),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        response.insert("verdict", Json::str(verdict));
+        response.insert("profile", profile);
+        response.insert("cache", profile::cache(&rollup));
+        response.insert("wall_ms", Json::num(wall.as_secs_f64() * 1e3));
+        Handled::new(response, false)
     }
 
     /// The request's effective budget under the server's caps.
@@ -564,7 +537,14 @@ impl Server {
     fn status(&self, req: &Request) -> Handled {
         self.counters.ok.fetch_add(1, Ordering::Relaxed);
         let (active, waiting) = self.gate.load();
+        let count = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
         let rollup = self.total.lock().unwrap().clone();
+        let mut oracle = profile::cache(&rollup);
+        oracle.insert("queries", Json::num(rollup.report.queries as f64));
+        oracle.insert(
+            "pool_capacity",
+            Json::num(self.oracle.pool_capacity() as f64),
+        );
         let response = ok_response(
             &req.id,
             "ok",
@@ -581,44 +561,16 @@ impl Server {
                 (
                     "requests",
                     Json::obj([
-                        (
-                            "received",
-                            Json::num(self.counters.received.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "ok",
-                            Json::num(self.counters.ok.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "errors",
-                            Json::num(self.counters.errors.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "busy",
-                            Json::num(self.counters.busy.load(Ordering::Relaxed) as f64),
-                        ),
+                        ("received", count(&self.counters.received)),
+                        ("ok", count(&self.counters.ok)),
+                        ("errors", count(&self.counters.errors)),
+                        ("busy", count(&self.counters.busy)),
                     ]),
                 ),
-                (
-                    "oracle",
-                    Json::obj([
-                        ("queries", Json::num(rollup.report.queries as f64)),
-                        ("frame_hits", Json::num(rollup.frame_hits as f64)),
-                        ("frame_misses", Json::num(rollup.frame_misses as f64)),
-                        ("hit_rate", Json::num(rollup.frame_hit_rate())),
-                        ("sessions_built", Json::num(rollup.sessions_built as f64)),
-                        (
-                            "pool_capacity",
-                            Json::num(self.oracle.pool_capacity() as f64),
-                        ),
-                    ]),
-                ),
+                ("oracle", oracle),
             ],
         );
-        Handled {
-            response,
-            close: false,
-        }
+        Handled::new(response, false)
     }
 
     fn refuse(&self, id: &Json, err: &WireError) -> Handled {
@@ -628,10 +580,7 @@ impl Server {
             &self.counters.errors
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        Handled {
-            response: error_response(id, err),
-            close: err.code == ErrorCode::Oversized,
-        }
+        Handled::new(error_response(id, err), err.code == ErrorCode::Oversized)
     }
 
     /// Serves connections until `shutdown` is acknowledged, then drains
@@ -814,18 +763,6 @@ impl LineReader {
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-fn cmd_tag(cmd: Command) -> &'static str {
-    match cmd {
-        Command::Verify => "verify",
-        Command::Bmc => "bmc",
-        Command::Houdini => "houdini",
-        Command::Infer => "infer",
-        Command::Generalize => "generalize",
-        Command::Status => "status",
-        Command::Shutdown => "shutdown",
     }
 }
 

@@ -3,6 +3,8 @@
 use std::io::Write;
 use std::process::Command;
 
+use ivy_serve::Json;
+
 const MODEL: &str = r#"
 sort client
 relation has_lock : client
@@ -174,23 +176,34 @@ fn profile_flag_writes_schema_valid_report() {
     assert_eq!(code, 0, "{text}");
     assert!(text.contains("inductive"), "{text}");
     let json = std::fs::read_to_string(&profile).unwrap();
-    assert!(json.contains("\"schema\": \"ivy-profile-v1\""), "{json}");
-    assert!(json.contains("\"outcome\": \"inductive\""), "{json}");
-    assert!(json.contains("\"phases\""), "{json}");
-    assert!(json.contains("\"counters\""), "{json}");
-    assert!(json.contains("\"final_check_firings\": 0"), "{json}");
-    // The size gauges are the maxima over the run's queries, never 0.
-    let report = ivy_serve::Json::parse(&json).unwrap();
+    let report = Json::parse(&json).unwrap();
+    let Json::Obj(fields) = &report else {
+        panic!("{json}")
+    };
+    let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+    let expected = "cache caches command counters grounding model outcome phases queries sat \
+                    schema stop wall_ms";
+    assert_eq!(keys.join(" "), expected);
+    let at = |block: &str, key: &str| report.get(block).and_then(|b| b.get(key));
+    let text = |key| report.get(key).and_then(Json::as_str);
+    assert_eq!(text("schema"), Some("ivy-profile-v1"), "{json}");
+    assert_eq!(text("outcome"), Some("inductive"), "{json}");
+    let firings = at("grounding", "final_check_firings");
+    assert_eq!(firings.and_then(Json::as_u64), Some(0), "{json}");
+    // The CLI profile carries the same frame-cache block as a serve
+    // response, and it agrees with the process's own counter.
+    let built = at("cache", "sessions_built");
+    assert_eq!(built, at("counters", "oracle.sessions_built"), "{json}");
+    // The size gauges are the maxima over the run's queries, never 0; so
+    // is the number of sessions built.
     for (block, gauge) in [
         ("grounding", "universe"),
         ("sat", "vars"),
         ("sat", "clauses"),
+        ("cache", "sessions_built"),
     ] {
-        let value = report.get(block).and_then(|b| b.get(gauge));
-        assert!(
-            value.and_then(|v| v.as_u64()) > Some(0),
-            "{block}.{gauge}: {json}"
-        );
+        let value = at(block, gauge).and_then(Json::as_u64);
+        assert!(value > Some(0), "{block}.{gauge}: {json}");
     }
     std::fs::remove_file(&profile).ok();
 }
@@ -214,9 +227,10 @@ fn zero_timeout_degrades_to_unknown_with_partial_profile() {
     assert_eq!(code, 3, "{text}");
     assert!(text.contains("unknown (deadline exceeded)"), "{text}");
     assert!(!text.contains("inductive"), "{text}");
-    let json = std::fs::read_to_string(&profile).unwrap();
-    assert!(json.contains("\"outcome\": \"unknown\""), "{json}");
-    assert!(json.contains("deadline"), "{json}");
+    let report = Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+    let text = |key| report.get(key).and_then(Json::as_str);
+    assert_eq!(text("outcome"), Some("unknown"), "{report}");
+    assert_eq!(text("stop"), Some("deadline"), "{report}");
     std::fs::remove_file(&profile).ok();
 }
 

@@ -15,7 +15,8 @@ fn a_request_profile_leaves_out_earlier_requests() {
     ]);
     ivy_telemetry::reset();
     ivy_telemetry::set_enabled(true);
-    let profiles: Vec<Json> = (0..2)
+    // One cold request, then two warm ones asking the same queries.
+    let profiles: Vec<Json> = (0..3)
         .map(|_| {
             let resp = Json::parse(server.handle_line(&line.to_string()).response.trim());
             resp.unwrap()
@@ -40,4 +41,15 @@ fn a_request_profile_leaves_out_earlier_requests() {
         "{counters}"
     );
     assert_eq!(counter(counters, "oracle.frame_misses"), None, "{counters}");
+
+    // The two warm requests do the same work and report the same counts;
+    // no count grows with the number of earlier requests. (SAT counts may
+    // differ: learnt clauses persist in the pooled sessions.)
+    let at = |i: usize, path: &[&str]| path.iter().try_fold(&profiles[i], |j, k| j.get(k));
+    for path in [&["queries"][..], &["grounding", "instances"], &["caches"]] {
+        let warm = at(1, path).expect("profile field");
+        assert_eq!(Some(warm), at(2, path), "{path:?}");
+    }
+    let caches = at(1, &["caches"]).expect("caches block").to_string();
+    assert!(!caches.contains("intern_"), "{caches}");
 }

@@ -11,8 +11,8 @@
 //!
 //! * **[`QueryReport`]** — a merged, machine-readable account of one or
 //!   more solver queries: wall time by phase, grounding sizes, clause /
-//!   conflict / restart / propagation counts, and cache hit rates. It
-//!   serializes itself to JSON by hand (`to_json_with`); the schema is
+//!   conflict / restart / propagation counts, and atom-cache hits. The
+//!   `ivy-serve` crate writes it as the `ivy-profile-v1` object
 //!   documented in DESIGN.md §4e.
 //!
 //! * **[`Budget`]** — a deadline plus conflict and instantiation caps
@@ -229,8 +229,8 @@ impl Budget {
 ///
 /// Built by the single stats builder in `ivy-epr` so the per-check and
 /// per-session counters cannot diverge, then optionally merged across
-/// queries by callers. `to_json_with` emits the `ivy-profile-v1` object
-/// documented in DESIGN.md §4e.
+/// queries by callers. `ivy_serve::profile` writes it as the
+/// `ivy-profile-v1` object documented in DESIGN.md §4e.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryReport {
     /// Number of queries merged into this report.
@@ -259,19 +259,8 @@ pub struct QueryReport {
     pub restarts: u64,
     pub deleted_clauses: u64,
     // Caches.
-    pub intern_hits: u64,
-    pub intern_misses: u64,
     pub atom_cache_hits: u64,
     pub atom_cache_misses: u64,
-}
-
-fn rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
 }
 
 impl QueryReport {
@@ -297,115 +286,8 @@ impl QueryReport {
         self.conflicts += other.conflicts;
         self.restarts += other.restarts;
         self.deleted_clauses += other.deleted_clauses;
-        self.intern_hits = self.intern_hits.max(other.intern_hits);
-        self.intern_misses = self.intern_misses.max(other.intern_misses);
         self.atom_cache_hits += other.atom_cache_hits;
         self.atom_cache_misses += other.atom_cache_misses;
-    }
-
-    pub fn intern_hit_rate(&self) -> f64 {
-        rate(self.intern_hits, self.intern_misses)
-    }
-
-    pub fn atom_cache_hit_rate(&self) -> f64 {
-        rate(self.atom_cache_hits, self.atom_cache_misses)
-    }
-
-    /// Serialize as a standalone `ivy-profile-v1` JSON object with extra
-    /// top-level string fields (e.g. `protocol`, `command`, `verdict`)
-    /// prepended. `phases` and `counters` are written as given: a profile
-    /// of the whole process passes [`phase_snapshot`] and
-    /// [`counter_snapshot`]; one that covers only part of the process
-    /// passes nothing, since the global registry cannot tell who recorded
-    /// what.
-    pub fn to_json_with(
-        &self,
-        extra: &[(&str, &str)],
-        phases: &[(String, PhaseStat)],
-        counters: &[(String, u64)],
-    ) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"ivy-profile-v1\"");
-        for (k, v) in extra {
-            out.push_str(",\n  ");
-            json_str(&mut out, k);
-            out.push_str(": ");
-            json_str(&mut out, v);
-        }
-        out.push_str(&format!(
-            ",\n  \"queries\": {},\n  \"outcome\": ",
-            self.queries
-        ));
-        json_str(&mut out, &self.outcome);
-        out.push_str(",\n  \"stop\": ");
-        match self.stop {
-            Some(r) => json_str(&mut out, r.tag()),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\n  \"wall_ms\": {:.3}",
-            self.wall_nanos as f64 / 1.0e6
-        ));
-        out.push_str(",\n  \"phases\": [");
-        for (i, (name, stat)) in phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"phase\": ");
-            json_str(&mut out, name);
-            out.push_str(&format!(
-                ", \"calls\": {}, \"ms\": {:.3}}}",
-                stat.calls,
-                stat.millis()
-            ));
-        }
-        if !phases.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push(']');
-        out.push_str(",\n  \"counters\": {");
-        for (i, (name, value)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_str(&mut out, name);
-            out.push_str(&format!(": {value}"));
-        }
-        if !counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
-        out.push_str(&format!(
-            ",\n  \"grounding\": {{\"universe\": {}, \"instances\": {}, \
-             \"equality_clauses\": {}, \"final_check_firings\": {}}}",
-            self.universe, self.instances, self.equality_clauses, self.final_check_firings
-        ));
-        out.push_str(&format!(
-            ",\n  \"sat\": {{\"vars\": {}, \"clauses\": {}, \"decisions\": {}, \
-             \"propagations\": {}, \"conflicts\": {}, \"restarts\": {}, \
-             \"deleted_clauses\": {}}}",
-            self.sat_vars,
-            self.sat_clauses,
-            self.decisions,
-            self.propagations,
-            self.conflicts,
-            self.restarts,
-            self.deleted_clauses
-        ));
-        out.push_str(&format!(
-            ",\n  \"caches\": {{\"intern_hits\": {}, \"intern_misses\": {}, \
-             \"intern_hit_rate\": {:.4}, \"atom_hits\": {}, \"atom_misses\": {}, \
-             \"atom_hit_rate\": {:.4}}}",
-            self.intern_hits,
-            self.intern_misses,
-            self.intern_hit_rate(),
-            self.atom_cache_hits,
-            self.atom_cache_misses,
-            self.atom_cache_hit_rate()
-        ));
-        out.push_str("\n}\n");
-        out
     }
 }
 
@@ -466,26 +348,13 @@ impl OracleRollup {
 
     /// Fraction of checkouts served from the frame cache.
     pub fn frame_hit_rate(&self) -> f64 {
-        rate(self.frame_hits, self.frame_misses)
-    }
-}
-
-/// Append `s` as a JSON string literal (quotes, backslashes, and
-/// control characters escaped).
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        let total = self.frame_hits + self.frame_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.frame_hits as f64 / total as f64
         }
     }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -538,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_and_json() {
+    fn report_merge() {
         let mut a = QueryReport {
             queries: 1,
             outcome: "unsat".into(),
@@ -546,8 +415,6 @@ mod tests {
             instances: 100,
             equality_clauses: 6,
             conflicts: 5,
-            intern_hits: 3,
-            intern_misses: 1,
             ..QueryReport::default()
         };
         let b = QueryReport {
@@ -570,15 +437,7 @@ mod tests {
         assert_eq!(a.universe, 10);
         assert_eq!(a.instances, 150);
         assert_eq!(a.conflicts, 7);
-        let phases = [("sat".to_string(), PhaseStat { nanos: 1, calls: 1 })];
-        let json = a.to_json_with(&[("protocol", "leader")], &phases, &[]);
-        assert!(json.contains("\"schema\": \"ivy-profile-v1\""));
-        assert!(json.contains("{\"phase\": \"sat\", \"calls\": 1"));
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"protocol\": \"leader\""));
-        assert!(json.contains("\"stop\": \"deadline\""));
-        assert!(json.contains("\"outcome\": \"unknown\""));
-        assert!(json.contains("\"equality_clauses\": 10, \"final_check_firings\": 1"));
+        assert_eq!((a.equality_clauses, a.final_check_firings), (10, 1));
     }
 
     #[test]
@@ -616,12 +475,5 @@ mod tests {
             (4, 2, 2)
         );
         assert_eq!(total.report.queries, 4);
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        let mut s = String::new();
-        json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }
